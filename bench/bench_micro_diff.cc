@@ -1,6 +1,7 @@
 // Host-side throughput of the twin/diff machinery (the simulator's hot
 // paths): diff creation, application, and merge across unit sizes and
-// modification densities.
+// modification densities, plus the usefulness tracker's delivery of the
+// words a diff or home fetch brings in.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -8,6 +9,7 @@
 
 #include "common/rng.h"
 #include "mem/diff.h"
+#include "mem/word_tracker.h"
 
 namespace dsm {
 namespace {
@@ -133,6 +135,30 @@ void BM_DiffMerge(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_DiffMerge)->Arg(4096)->Arg(16384);
+
+// WordTracker delivery as the fault path drives it: one call per run of a
+// sparse diff (16 runs of 8 words) into one unit, then one whole-unit fill
+// of another, as a home fetch does.  Bytes processed = words tagged.
+void BM_WordTrackerDeliver(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  const auto words = static_cast<std::uint32_t>(bytes / kWordBytes);
+  Buffers b = MakeRunBuffers(bytes, 16, 8, 42);
+  const Diff d = Diff::Create(b.twin, b.current);
+  WordTracker tracker(2, words);
+  std::uint32_t msg = 0;
+  for (auto _ : state) {
+    for (const DiffRun& run : d.runs()) {
+      tracker.Deliver(0, run.word_offset, run.word_count, msg);
+    }
+    tracker.Deliver(1, 0, words, msg);
+    benchmark::DoNotOptimize(tracker.fresh_count(0));
+    benchmark::DoNotOptimize(tracker.fresh_count(1));
+    ++msg;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(d.payload_bytes() + bytes));
+}
+BENCHMARK(BM_WordTrackerDeliver)->Arg(4096)->Arg(16384);
 
 }  // namespace
 }  // namespace dsm

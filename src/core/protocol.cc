@@ -659,18 +659,18 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         }
         if (track) {
           for (const DiffRun& run : runs) {
-            for (std::uint32_t i = 0; i < run.word_count; ++i) {
-              tracker_.Deliver(unit, run.word_offset + i, need.exchange_id);
-            }
+            tracker_.Deliver(unit, run.word_offset, run.word_count,
+                             need.exchange_id);
           }
         }
       } else {
         need.diff->Apply(UnitSpan(unit));
         if (twinned) need.diff->Apply(table_.twin(unit));
         if (track) {
-          need.diff->ForEachWord([&](std::uint32_t word) {
-            tracker_.Deliver(unit, word, need.exchange_id);
-          });
+          for (const DiffRun& run : need.diff->runs()) {
+            tracker_.Deliver(unit, run.word_offset, run.word_count,
+                             need.exchange_id);
+          }
         }
       }
       const std::size_t payload_bytes = need.PayloadWords() * kWordBytes;
@@ -944,10 +944,8 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
       // Installing the received (or locally copied) unit is one memcpy.
       clock_.Advance(cost.TwinCost(unit_bytes_));
       if (track && remote) {
-        for (std::uint32_t w = 0;
-             w < static_cast<std::uint32_t>(words_per_unit); ++w) {
-          tracker_.Deliver(unit, w, ex);
-        }
+        tracker_.Deliver(unit, 0, static_cast<std::uint32_t>(words_per_unit),
+                         ex);
         // Words the local re-apply overwrote can never credit the fetch.
         for (const DiffRun& run : local.runs()) {
           tracker_.OnWrite(unit, run.word_offset, run.word_count);

@@ -72,17 +72,6 @@ class Diff {
   // Payload word `i` in run-major order (testing/inspection).
   std::uint32_t payload_word(std::size_t i) const;
 
-  // Enumerate the unit-relative word offsets this diff writes, in order.
-  // `fn` is called once per word.
-  template <typename Fn>
-  void ForEachWord(Fn&& fn) const {
-    for (const DiffRun& run : runs_) {
-      for (std::uint32_t i = 0; i < run.word_count; ++i) {
-        fn(run.word_offset + i);
-      }
-    }
-  }
-
   static constexpr std::size_t kHeaderBytes = 16;
   static constexpr std::size_t kRunDescriptorBytes = 8;
 

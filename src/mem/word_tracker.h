@@ -23,6 +23,13 @@
 // single counter load, and the word loop stops as soon as the last live
 // tag in range dies.
 //
+// Delivery is run-granular: the protocol hands over one diff run (or one
+// whole home-fetched unit) per call, never one word.  A call makes a
+// single allocation check, fills the run's tags in one pass while
+// counting the words that were not fresh before, and updates the unit's
+// fresh count once — tags and counts end up exactly as if each word of
+// the run had been delivered on its own.
+//
 // Read interest (archive GC's read-aware flattening, DESIGN.md §6): the
 // tracker additionally accumulates a monotone per-unit bitmap of every
 // word whose *delivery this node ever consumed* — set at the credit site,
@@ -40,6 +47,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "mem/diff.h"
 #include "mem/types.h"
 
@@ -50,8 +58,24 @@ class WordTracker {
   // `words_per_unit` = unit_bytes / kWordBytes.
   WordTracker(std::size_t num_units, std::size_t words_per_unit);
 
-  // A diff from message `msg_id` wrote the word at (unit, word_in_unit).
-  void Deliver(UnitId unit, std::uint32_t word_in_unit, std::uint32_t msg_id);
+  // Message `msg_id` delivered the `count` consecutive words of `unit`
+  // starting at `first` (one diff run, or the whole unit for a home
+  // fetch).  Redelivery to an already-fresh word re-tags it without
+  // recounting it.
+  void Deliver(UnitId unit, std::uint32_t first, std::uint32_t count,
+               std::uint32_t msg_id) {
+    DSM_DCHECK(std::size_t{first} + count <= words_per_unit_);
+    std::uint32_t* tags = units_[unit].get();
+    if (tags == nullptr) [[unlikely]] tags = AllocateUnit(unit);
+    const std::uint32_t tag = msg_id + 1;
+    std::uint32_t* run = tags + first;
+    std::uint32_t newly_fresh = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      newly_fresh += run[i] == 0;
+      run[i] = tag;
+    }
+    fresh_[unit] += newly_fresh;
+  }
 
   // Local read of `count` consecutive words.  Calls `credit(msg_id)` once
   // per fresh word consumed.  Hot path: units with no live fresh tag take
@@ -117,7 +141,9 @@ class WordTracker {
   std::uint32_t Tag(UnitId unit, std::uint32_t word_in_unit) const;
 
  private:
-  void EnsureUnit(UnitId unit);
+  // Zeroed tag storage for a unit's first delivery.  Out of line: each
+  // unit takes it once.
+  std::uint32_t* AllocateUnit(UnitId unit);
   std::uint64_t* EnsureInterest(UnitId unit);
 
   // Credit loop for lock programs: consumes fresh tags AND records each

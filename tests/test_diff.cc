@@ -74,15 +74,6 @@ TEST(Diff, ApplyPreservesConcurrentDisjointWrites) {
   EXPECT_EQ(merged, Bytes({5, 0, 0, 7}));
 }
 
-TEST(Diff, ForEachWordEnumeratesAllModifiedWords) {
-  auto twin = Bytes({0, 0, 0, 0, 0, 0});
-  auto cur = Bytes({1, 1, 0, 0, 1, 0});
-  Diff d = Diff::Create(twin, cur);
-  std::vector<std::uint32_t> offsets;
-  d.ForEachWord([&](std::uint32_t w) { offsets.push_back(w); });
-  EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0, 1, 4}));
-}
-
 TEST(Diff, EncodedBytesAccountsRunsAndPayload) {
   auto twin = Bytes({0, 0, 0, 0});
   auto cur = Bytes({1, 0, 2, 0});

@@ -3,6 +3,7 @@
 // word tracker, vector clocks, interval archive, net stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -244,7 +245,7 @@ TEST(PageTable, TwinPoolRecyclesDroppedBuffers) {
 
 TEST(WordTracker, CreditOnFirstReadOnly) {
   WordTracker tracker(2, 1024);
-  tracker.Deliver(0, 5, /*msg_id=*/3);
+  tracker.Deliver(0, 5, 1, /*msg_id=*/3);
   int credited = -1;
   tracker.OnRead(0, 5, 1, [&](std::uint32_t m) { credited = (int)m; });
   EXPECT_EQ(credited, 3);
@@ -255,7 +256,7 @@ TEST(WordTracker, CreditOnFirstReadOnly) {
 
 TEST(WordTracker, OverwriteKillsCredit) {
   WordTracker tracker(2, 1024);
-  tracker.Deliver(0, 7, 1);
+  tracker.Deliver(0, 7, 1, 1);
   tracker.OnWrite(0, 7, 1);
   int credited = -1;
   tracker.OnRead(0, 7, 1, [&](std::uint32_t m) { credited = (int)m; });
@@ -264,8 +265,8 @@ TEST(WordTracker, OverwriteKillsCredit) {
 
 TEST(WordTracker, RedeliveryRetags) {
   WordTracker tracker(2, 1024);
-  tracker.Deliver(0, 9, 1);
-  tracker.Deliver(0, 9, 2);  // newer message overwrites the tag
+  tracker.Deliver(0, 9, 1, 1);
+  tracker.Deliver(0, 9, 1, 2);  // newer message overwrites the tag
   std::vector<std::uint32_t> credits;
   tracker.OnRead(0, 9, 1, [&](std::uint32_t m) { credits.push_back(m); });
   EXPECT_EQ(credits, (std::vector<std::uint32_t>{2}));
@@ -281,9 +282,9 @@ TEST(WordTracker, UntouchedUnitsCostNothing) {
 
 TEST(WordTracker, RangeReadCreditsEachFreshWord) {
   WordTracker tracker(1, 64);
-  tracker.Deliver(0, 2, 0);
-  tracker.Deliver(0, 3, 0);
-  tracker.Deliver(0, 5, 1);
+  tracker.Deliver(0, 2, 1, 0);
+  tracker.Deliver(0, 3, 1, 0);
+  tracker.Deliver(0, 5, 1, 1);
   int credits = 0;
   tracker.OnRead(0, 0, 8, [&](std::uint32_t) { ++credits; });
   EXPECT_EQ(credits, 3);
@@ -294,9 +295,9 @@ TEST(WordTracker, RangeReadCreditsEachFreshWord) {
 TEST(WordTracker, FreshCountReachesZeroAfterCreditsAndOverwrites) {
   WordTracker tracker(2, 64);
   EXPECT_EQ(tracker.fresh_count(0), 0u);
-  tracker.Deliver(0, 1, 0);
-  tracker.Deliver(0, 5, 0);
-  tracker.Deliver(0, 9, 1);
+  tracker.Deliver(0, 1, 1, 0);
+  tracker.Deliver(0, 5, 1, 0);
+  tracker.Deliver(0, 9, 1, 1);
   EXPECT_EQ(tracker.fresh_count(0), 3u);
 
   tracker.OnWrite(0, 5, 1);  // one mark dies uncredited
@@ -310,7 +311,7 @@ TEST(WordTracker, FreshCountReachesZeroAfterCreditsAndOverwrites) {
 
 TEST(WordTracker, ExhaustedUnitTakesEarlyOutWithoutCredits) {
   WordTracker tracker(1, 64);
-  tracker.Deliver(0, 3, 7);
+  tracker.Deliver(0, 3, 1, 7);
   tracker.OnWrite(0, 0, 64);
   ASSERT_EQ(tracker.fresh_count(0), 0u);
 
@@ -326,8 +327,8 @@ TEST(WordTracker, ExhaustedUnitTakesEarlyOutWithoutCredits) {
 
 TEST(WordTracker, RedeliveryToFreshWordDoesNotDoubleCount) {
   WordTracker tracker(1, 64);
-  tracker.Deliver(0, 4, 1);
-  tracker.Deliver(0, 4, 2);  // re-tag, not a second fresh word
+  tracker.Deliver(0, 4, 1, 1);
+  tracker.Deliver(0, 4, 1, 2);  // re-tag, not a second fresh word
   EXPECT_EQ(tracker.fresh_count(0), 1u);
 
   std::vector<std::uint32_t> credits;
@@ -340,12 +341,129 @@ TEST(WordTracker, ReadStopsAtLastLiveTagButStaysExact) {
   // The early-break when the count hits zero must not skip credits: two
   // fresh words read in one range call both credit.
   WordTracker tracker(1, 64);
-  tracker.Deliver(0, 0, 3);
-  tracker.Deliver(0, 63, 4);
+  tracker.Deliver(0, 0, 1, 3);
+  tracker.Deliver(0, 63, 1, 4);
   std::vector<std::uint32_t> credits;
   tracker.OnRead(0, 0, 64, [&](std::uint32_t m) { credits.push_back(m); });
   EXPECT_EQ(credits, (std::vector<std::uint32_t>{3, 4}));
   EXPECT_EQ(tracker.fresh_count(0), 0u);
+}
+
+// --- run-granular delivery against a per-word model ---------------------------
+
+// Brute-force reference: one tag per word, delivered, read and overwritten
+// one word at a time (the paper's §5.3 rule with no fast paths).
+struct WordTrackerModel {
+  WordTrackerModel(std::size_t units, std::size_t words)
+      : tags(units, std::vector<std::uint32_t>(words, 0)) {}
+
+  void Deliver(UnitId unit, std::uint32_t first, std::uint32_t count,
+               std::uint32_t msg_id) {
+    for (std::uint32_t w = first; w < first + count; ++w) {
+      tags[unit][w] = msg_id + 1;
+    }
+  }
+  void OnRead(UnitId unit, std::uint32_t first, std::uint32_t count,
+              std::vector<std::uint32_t>& credits) {
+    for (std::uint32_t w = first; w < first + count; ++w) {
+      if (tags[unit][w] != 0) credits.push_back(tags[unit][w] - 1);
+      tags[unit][w] = 0;
+    }
+  }
+  void OnWrite(UnitId unit, std::uint32_t first, std::uint32_t count) {
+    for (std::uint32_t w = first; w < first + count; ++w) tags[unit][w] = 0;
+  }
+  std::uint32_t Fresh(UnitId unit) const {
+    std::uint32_t n = 0;
+    for (std::uint32_t t : tags[unit]) n += t != 0;
+    return n;
+  }
+
+  std::vector<std::vector<std::uint32_t>> tags;
+};
+
+// Seeded random deliveries (sparse runs, runs ending on the unit's last
+// word, whole-unit fills, redeliveries over fresh words), each followed by
+// a random local read or write.  After every step every tag, every fresh
+// count and the full credit sequence must equal the per-word model's.
+// Runs with and without read interest, which routes OnRead through the
+// out-of-line credit loop.
+TEST(WordTracker, RunDeliveryMatchesPerWordModel) {
+  constexpr std::size_t kUnits = 3;
+  constexpr std::uint32_t kWords = 64;
+  for (const bool interest : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " interest " << interest);
+      Xoshiro256 rng(seed);
+      WordTracker tracker(kUnits, kWords);
+      if (interest) tracker.EnableInterest();
+      WordTrackerModel model(kUnits, kWords);
+      std::vector<std::uint32_t> got, want;
+      int tail_runs = 0, partial_fills = 0, redeliveries = 0;
+
+      for (std::uint32_t step = 0; step < 400; ++step) {
+        const auto unit = static_cast<UnitId>(rng.UniformInt(kUnits));
+        std::uint32_t first = 0, count = kWords;
+        switch (rng.UniformInt(4)) {
+          case 0:  // sparse run anywhere
+            first = static_cast<std::uint32_t>(rng.UniformInt(kWords));
+            count = 1 + static_cast<std::uint32_t>(
+                            rng.UniformInt(std::min(8u, kWords - first)));
+            break;
+          case 1:  // run ending on the unit's last word
+            first = static_cast<std::uint32_t>(rng.UniformInt(kWords));
+            count = kWords - first;
+            ++tail_runs;
+            break;
+          case 2:  // whole-unit fill
+            if (const std::uint32_t f = model.Fresh(unit); f > 0 && f < kWords)
+              ++partial_fills;
+            break;
+          default: {  // redelivery over the first fresh word, if any
+            const auto& tags = model.tags[unit];
+            const auto it = std::find_if(tags.begin(), tags.end(),
+                                         [](std::uint32_t t) { return t != 0; });
+            if (it == tags.end()) continue;
+            first = static_cast<std::uint32_t>(it - tags.begin());
+            count = 1 + static_cast<std::uint32_t>(
+                            rng.UniformInt(kWords - first));
+            ++redeliveries;
+            break;
+          }
+        }
+        tracker.Deliver(unit, first, count, step);
+        model.Deliver(unit, first, count, step);
+
+        const auto local = static_cast<UnitId>(rng.UniformInt(kUnits));
+        const auto at = static_cast<std::uint32_t>(rng.UniformInt(kWords));
+        const auto len =
+            1 + static_cast<std::uint32_t>(rng.UniformInt(kWords - at));
+        if (rng.UniformInt(2) == 0) {
+          tracker.OnRead(local, at, len,
+                         [&](std::uint32_t m) { got.push_back(m); });
+          model.OnRead(local, at, len, want);
+        } else {
+          tracker.OnWrite(local, at, len);
+          model.OnWrite(local, at, len);
+        }
+
+        ASSERT_EQ(got, want) << "step " << step;
+        for (UnitId u = 0; u < kUnits; ++u) {
+          ASSERT_EQ(tracker.fresh_count(u), model.Fresh(u))
+              << "step " << step << " unit " << u;
+          for (std::uint32_t w = 0; w < kWords; ++w) {
+            ASSERT_EQ(tracker.Tag(u, w), model.tags[u][w])
+                << "step " << step << " unit " << u << " word " << w;
+          }
+        }
+      }
+      // Each boundary case above was actually exercised.
+      EXPECT_GT(tail_runs, 0);
+      EXPECT_GT(partial_fills, 0);
+      EXPECT_GT(redeliveries, 0);
+    }
+  }
 }
 
 // --- core primitives ----------------------------------------------------------
