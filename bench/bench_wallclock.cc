@@ -533,7 +533,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
         "\"peak_live_intervals\": %llu, \"peak_archive_bytes\": %llu, "
         "\"reclaimed_intervals\": %llu, \"canonical_base_bytes\": %llu, "
         "\"gc_passes\": %llu, \"chains_built\": %llu, "
-        "\"chains_shared\": %llu, \"records_elided\": %llu}%s\n",
+        "\"chains_shared\": %llu}%s\n",
         r.app.c_str(), r.dataset.c_str(), r.mode.c_str(), r.backend.c_str(),
         fault_field.c_str(), r.procs, r.stable ? "true" : "false", r.wall_ms,
         r.modelled_ms,
@@ -546,7 +546,6 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
         static_cast<unsigned long long>(r.mem.gc_passes),
         static_cast<unsigned long long>(r.mem.chains_built),
         static_cast<unsigned long long>(r.mem.chains_shared),
-        static_cast<unsigned long long>(r.mem.records_elided),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

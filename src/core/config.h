@@ -174,38 +174,14 @@ struct RuntimeConfig {
   // the largest static unit the paper studies (16 KB).
   int max_group_pages = 4;
 
-  // Word-level useful/useless classification (paper §5.3).  Costs nothing
-  // in modelled time; can be disabled for raw-speed host runs.
-  bool track_usage = true;
-
   // Archive garbage collection (DESIGN.md §6): every N-th global barrier,
   // flatten all intervals dominated by the flatten target (below) into
   // canonical base images and reclaim the records.  A host-side
   // optimization — modelled times, statistics, and results are
-  // bit-identical for any setting on barrier programs.  0 disables GC
-  // (the archive-everything behavior, kept reachable for A/B testing).
+  // bit-identical for any setting, for every program at a fixed
+  // lock-grant order.  0 disables GC (the archive-everything behavior,
+  // kept reachable for A/B testing).
   int gc_interval_barriers = 1;
-
-  // Read-aware flattening (DESIGN.md §6): the collector skips building
-  // flattened chains out of LOCK-RELEASE intervals none of whose words
-  // the pending node has ever read (Water's aux/force slots), recording
-  // only a per-unit elided-run list whose words are silently refreshed
-  // from the canonical base at the next fault.  Data-safe always; only
-  // lock-release intervals are eligible, so barrier programs — the
-  // bit-reproducible ones — are provably unaffected.  Kept toggleable for
-  // A/B runs.
-  bool gc_read_aware = true;
-
-  // Lock-chain-aware lazy-diffing phases (DESIGN.md §4): lock-ordered
-  // diff requesters between two barriers advance a per-lock-chain
-  // sub-phase derived from the LockService transfer order, so a requester
-  // ordered after the acquire that materialized a diff is served from the
-  // writer's cache instead of each paying the twin-scan cost.  Sharper
-  // modelled times for migratory data (Water/TSP); host-order dependent
-  // only for lock programs, which are not bit-reproducible anyway.
-  // Barrier programs never advance the sub-phase and replay bit-for-bit
-  // under either setting.
-  bool lock_chain_phases = true;
 
   // Archive-GC pass sizing: auto (hardware-concurrency-scaled serial
   // threshold) or forced serial/striped — see GcPassMode.

@@ -174,7 +174,6 @@ Node::Node(ProcId id, SharedState& shared)
       tracker_(shared.heap.num_units(), unit_bytes_ / kWordBytes),
       pending_(shared.heap.num_units()),
       flattened_(shared.heap.num_units()),
-      elided_(shared.heap.num_units()),
       retwin_cheap_(shared.heap.num_units(), 0),
       diff_requested_(shared.heap.num_units()),
       diff_request_seen_(shared.heap.num_units(), 0),
@@ -318,30 +317,15 @@ void Node::ValidateUnit(UnitId unit) {
   }
 
   // First fault on this unit adopts the shared virgin history (if any)
-  // into flattened_/elided_ and registers this node as a sharer, so the
-  // checks below see exactly the state the GC would have built per-node.
+  // into flattened_ and registers this node as a sharer, so the check
+  // below sees exactly the state the GC would have built per-node.
   AdoptVirginState(unit);
 
-  if (pending_[unit].empty() && flattened_[unit].empty()) {
-    // Never reached under HLRC: a unit only goes invalid when a write
-    // notice queues a pending entry, and HlrcFetchUnits clears the list
-    // exactly when it revalidates (no GC ever reclaims entries).
-    DSM_CHECK(!hlrc_) << "HLRC: invalid unit " << unit
-                      << " with no pending write notices";
-    // Read-aware flattening left only elided history for this unit: every
-    // reclaimed word was never read here, so there is nothing to fetch —
-    // refresh the bytes from the canonical base (data safety for a
-    // mispredicted later read) and revalidate locally.  Reached only in
-    // lock programs (only lock-release records are elided).
-    DSM_CHECK(!elided_[unit].empty())
-        << "invalid unit " << unit << " with no pending write notices";
-    RefreshElided(unit);
-    retwin_cheap_[unit] = 0;
-    table_.set_state(unit, table_.HasTwin(unit) ? UnitState::kDirty
-                                                : UnitState::kReadValid);
-    clock_.Advance(cost.mprotect_op);
-    return;
-  }
+  // A unit only goes invalid when a write notice queues a pending entry;
+  // the fetch paths clear the list exactly when they revalidate, and the
+  // archive GC only ever moves reclaimed entries into flattened_.
+  DSM_CHECK(!pending_[unit].empty() || !flattened_[unit].empty())
+      << "invalid unit " << unit << " with no pending write notices";
 
   retwin_cheap_[unit] = 0;
   std::vector<UnitId>& fetch = fetch_scratch_;
@@ -605,14 +589,8 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   // Apply diffs per unit, in happens-before order (ordered intervals may
   // overlap words, e.g. migratory data under locks; concurrent intervals
   // touch disjoint words in race-free programs).
-  const bool track = shared_.config.track_usage;
   std::vector<NeedEntry>& for_unit = apply_scratch_;
   for (UnitId unit : units) {
-    // Read-aware flattening fallback: lay any elided reclaimed words down
-    // first (host-side copy from the canonical base — the same source the
-    // chains below copy from), so everything applied afterwards lands on
-    // the bytes the full history would have produced.
-    RefreshElided(unit);
     for_unit.clear();
     for (ProcId w = 0; w < nprocs; ++w) {
       for (const auto& need : needs_by_writer_[w]) {
@@ -657,20 +635,16 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
           d->Apply(dst);
           if (twinned) d->Apply(table_.twin(unit));
         }
-        if (track) {
-          for (const DiffRun& run : runs) {
-            tracker_.Deliver(unit, run.word_offset, run.word_count,
-                             need.exchange_id);
-          }
+        for (const DiffRun& run : runs) {
+          tracker_.Deliver(unit, run.word_offset, run.word_count,
+                           need.exchange_id);
         }
       } else {
         need.diff->Apply(UnitSpan(unit));
         if (twinned) need.diff->Apply(table_.twin(unit));
-        if (track) {
-          for (const DiffRun& run : need.diff->runs()) {
-            tracker_.Deliver(unit, run.word_offset, run.word_count,
-                             need.exchange_id);
-          }
+        for (const DiffRun& run : need.diff->runs()) {
+          tracker_.Deliver(unit, run.word_offset, run.word_count,
+                           need.exchange_id);
         }
       }
       const std::size_t payload_bytes = need.PayloadWords() * kWordBytes;
@@ -683,25 +657,12 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   }
 }
 
-void Node::RefreshElided(UnitId unit) {
-  std::vector<DiffRun>& runs = elided_[unit];
-  if (runs.empty()) return;
-  shared_.canonical->CopyRuns(unit, UnitSpan(unit), runs);
-  if (table_.HasTwin(unit)) {
-    shared_.canonical->CopyRuns(unit, table_.twin(unit), runs);
-  }
-  // Release the storage too: the run list pins the unit's canonical base
-  // (see RunArchiveGc pass 3), so an emptied-but-capacious vector would
-  // read as still pinning under a capacity-based check.
-  std::vector<DiffRun>().swap(runs);
-}
-
-void Node::CloseInterval(bool lock_release) {
+void Node::CloseInterval() {
   if (!protocol_enabled()) return;
   const auto& dirty = table_.dirty_units();
   if (dirty.empty()) return;
   if (hlrc_) {
-    HlrcFlushInterval(lock_release);
+    HlrcFlushInterval();
     return;
   }
   const CostModel& cost = shared_.config.cost;
@@ -709,7 +670,6 @@ void Node::CloseInterval(bool lock_release) {
   IntervalRecord rec;
   rec.proc = id_;
   rec.seq = ++vc_[id_];
-  rec.lock_release = lock_release;
   rec.units.reserve(dirty.size());
   rec.diffs.reserve(dirty.size());
   // Diffs are materialized here for bookkeeping (archived records must be
@@ -749,14 +709,13 @@ void Node::CloseInterval(bool lock_release) {
 // waits for the slowest ack), and the archived record keeps only the
 // write notices — the payload now lives at the homes, so nothing here
 // ever needs garbage collecting.
-void Node::HlrcFlushInterval(bool lock_release) {
+void Node::HlrcFlushInterval() {
   const CostModel& cost = shared_.config.cost;
   const auto& dirty = table_.dirty_units();
 
   IntervalRecord rec;
   rec.proc = id_;
   rec.seq = ++vc_[id_];
-  rec.lock_release = lock_release;
   rec.units.reserve(dirty.size());
   rec.diffs.reserve(dirty.size());
 
@@ -866,7 +825,6 @@ void Node::HlrcFlushInterval(bool lock_release) {
 void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
   const CostModel& cost = shared_.config.cost;
   const std::size_t words_per_unit = unit_bytes_ / kWordBytes;
-  const bool track = shared_.config.track_usage;
 
   for (auto& v : fetch_by_home_) v.clear();
   for (UnitId unit : units) {
@@ -943,7 +901,7 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
       if (twin_track_ && twinned) twin_dirty_[unit] = local.empty() ? 0 : 1;
       // Installing the received (or locally copied) unit is one memcpy.
       clock_.Advance(cost.TwinCost(unit_bytes_));
-      if (track && remote) {
+      if (remote) {
         tracker_.Deliver(unit, 0, static_cast<std::uint32_t>(words_per_unit),
                          ex);
         // Words the local re-apply overwrote can never credit the fetch.
@@ -1015,37 +973,20 @@ VirtualNanos Node::HlrcChargeRehomeLearning(std::size_t request_bytes) {
 // one worker, which walks nodes in fixed order) while spreading the work
 // over the idle window's threads instead of serializing it on proc 0.
 //
-// Two further optimizations recover the lock-heavy Water regression
-// (ROADMAP item 1):
-//
-//  * Read-aware flattening: a dominated LOCK-RELEASE record none of
-//    whose words the pending node ever read (Water's aux/force slots)
-//    builds no chain at all — its words go into the node's per-unit
-//    elided-run list, silently refreshed from the canonical base at the
-//    next fault.  The record still reaches the base, so a mispredicted
-//    later read is data-safe.  Barrier-closed records are never elided,
-//    which keeps the pass bit-invisible for barrier (= bit-reproducible)
-//    programs.
-//
-//  * Shared flattened chains: one reclaimed record is typically pending
-//    at most of the other nodes, and their chain builds are identical
-//    whenever their pre-existing chains and kept record lists coincide.
-//    An intern cache keyed on exactly those inputs builds each chain set
-//    once and hands out cheap headers over shared ChainBodies; per-node
-//    builds remain only where pending sets diverge.  All sharing for a
-//    unit happens inside its one worker, so the cache is worker-local
-//    and the build (including the telemetry) is bit-deterministic.
+// Shared flattened chains keep lock-heavy programs (Water) cheap: one
+// reclaimed record is typically pending at most of the other nodes, and
+// their chain builds are identical whenever their pre-existing chains and
+// dominated record lists coincide.  An intern cache keyed on exactly
+// those inputs builds each chain set once and hands out cheap headers
+// over shared ChainBodies; per-node builds remain only where pending sets
+// diverge.  All sharing for a unit happens inside its one worker, so the
+// cache is worker-local and the build (including the telemetry) is
+// bit-deterministic.
 void Node::GcFlattenStripe(const VectorClock& through, int start,
                            int step) {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
   const std::size_t num_units = shared.heap.num_units();
-  // Read-aware elision needs the usage tracker's consumed-delivery
-  // bitmaps; with track_usage off no interest ever accumulates and the
-  // predicate would elide EVERY lock-release record, breaking
-  // track_usage's modelled-invisibility contract.
-  const bool read_aware =
-      shared.config.gc_read_aware && shared.config.track_usage;
 
   // Snapshot each archive's dominated prefix once (one mutex hold per
   // archive): lock-heavy programs resolve tens of thousands of (proc,
@@ -1093,8 +1034,6 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
   std::unordered_map<std::uint64_t, Resolved> resolve_memo;
   std::vector<PendingInterval> live;
   std::vector<Resolved> kept;
-  std::vector<DiffRun> elide_accum;
-  std::vector<DiffRun> elide_canon;
   // Per-writer sorted foreign clock entries of the current batch (see the
   // absorption predicate below).
   std::vector<std::vector<Seq>> foreign_vcw(nprocs);
@@ -1111,7 +1050,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
   auto key_add = [&key](const void* p, std::size_t n) {
     key.append(static_cast<const char*>(p), n);
   };
-  std::uint64_t chains_built = 0, chains_shared = 0, records_elided = 0;
+  std::uint64_t chains_built = 0, chains_shared = 0;
 
   // Dominated-writer scratch for the virgin bookkeeping below: one bit per
   // processor with a dominated record naming the current unit this pass.
@@ -1155,19 +1094,15 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
         if (shared.sharers->Register(u, w)) continue;  // already a sharer
         Node& writer = *shared.nodes[w];
         if (!virgin.chains.empty()) writer.flattened_[u] = virgin.chains;
-        if (!virgin.elided.empty()) writer.elided_[u] = virgin.elided;
       }
     }
-    if (shared.sharers->SharerCount(u) == nprocs &&
-        (!virgin.chains.empty() || !virgin.elided.empty())) {
+    if (shared.sharers->SharerCount(u) == nprocs && !virgin.chains.empty()) {
       // Every node adopted the shared history; nothing will read it again.
       std::vector<FlattenedChain>().swap(virgin.chains);
-      std::vector<DiffRun>().swap(virgin.elided);
     }
-    bool virgin_built = false;        // store build done for this pass
+    bool virgin_built = false;  // store build done for this pass
     std::uint64_t virgin_new_chains = 0;
-    std::uint64_t virgin_elided = 0;  // records elided by the store build
-    int virgin_consumers = 0;         // virgins with dominated pending
+    int virgin_consumers = 0;   // virgins with dominated pending
 
     for (ProcId x = 0; x < nprocs; ++x) {
       Node& node = *shared.nodes[x];
@@ -1175,16 +1110,13 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
       if (pend.empty()) continue;
       if (!shared.sharers->IsSharer(u, x)) {
         // Virgin fast path (DESIGN.md §8): this node never faulted on the
-        // unit, so its dominated batch equals every other virgin's and —
-        // having consumed no deliveries — its read-interest bitmap is
-        // empty, collapsing the read-aware predicate to the record kind.
+        // unit, so its dominated batch equals every other virgin's.
         // The first virgin flattens the shared batch once into the virgin
         // store; the rest only drop their dominated entries.  Chain
         // headers thus stop scaling with the cluster size on units most
         // nodes never touch.
         live.clear();
         kept.clear();
-        elide_accum.clear();
         bool any_dom = false;
         for (const PendingInterval& pi : pend) {
           if (pi.seq > through[pi.proc]) {
@@ -1209,48 +1141,13 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
                        .first;
             gc_refs_.push_back({u, rec, di, memo->second.vc_sum});
           }
-          const Resolved& res = memo->second;
-          if (read_aware && res.rec->lock_release) {
-            const Diff& diff =
-                res.rec->diffs[static_cast<std::size_t>(res.di)];
-            elide_accum.insert(elide_accum.end(), diff.runs().begin(),
-                               diff.runs().end());
-            ++virgin_elided;
-            continue;
-          }
-          kept.push_back(res);
+          kept.push_back(memo->second);
         }
         if (!any_dom) continue;
         ++virgin_consumers;
         pend.assign(live.begin(), live.end());
         if (virgin_built) continue;
         virgin_built = true;
-        if (!elide_accum.empty()) {
-          std::sort(elide_accum.begin(), elide_accum.end(),
-                    [](const DiffRun& a, const DiffRun& b) {
-                      return a.word_offset < b.word_offset;
-                    });
-          elide_canon.clear();
-          for (const DiffRun& r : elide_accum) {
-            if (!elide_canon.empty() &&
-                r.word_offset <= elide_canon.back().word_offset +
-                                     elide_canon.back().word_count) {
-              DiffRun& back = elide_canon.back();
-              const std::uint32_t end =
-                  std::max(back.word_offset + back.word_count,
-                           r.word_offset + r.word_count);
-              back.word_count = end - back.word_offset;
-            } else {
-              elide_canon.push_back(r);
-            }
-          }
-          if (virgin.elided.empty()) {
-            virgin.elided = elide_canon;
-          } else {
-            virgin.elided = Diff::MergeRuns(virgin.elided, elide_canon);
-          }
-        }
-        if (kept.empty()) continue;
         for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
         for (const Resolved& q : kept) {
           for (ProcId w = 0; w < nprocs; ++w) {
@@ -1313,7 +1210,6 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
       }
       live.clear();
       kept.clear();
-      elide_accum.clear();
       bool any_dom = false;
       for (const PendingInterval& pi : pend) {
         if (pi.seq > through[pi.proc]) {
@@ -1335,54 +1231,13 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
                              rkey, Resolved{rec, owner, di, vc_sum_of(*rec)})
                      .first;
           // Route the record to the canonical base exactly once per unit:
-          // every resolved record is kept or elided by SOME node, and
-          // either way its words must reach the base.
+          // its words reach this node's chains only through the base.
           gc_refs_.push_back({u, rec, di, memo->second.vc_sum});
         }
-        const Resolved& res = memo->second;
-        const Diff& diff =
-            res.rec->diffs[static_cast<std::size_t>(res.di)];
-        if (read_aware && res.rec->lock_release &&
-            !node.tracker_.ReadsAnyOf(u, diff.runs())) {
-          elide_accum.insert(elide_accum.end(), diff.runs().begin(),
-                             diff.runs().end());
-          ++records_elided;
-          continue;
-        }
-        kept.push_back(res);
+        kept.push_back(memo->second);
       }
       if (!any_dom) continue;
       pend.assign(live.begin(), live.end());
-
-      if (!elide_accum.empty()) {
-        // Canonicalize (sort + coalesce) the elided words and fold them
-        // into the node's outstanding elided-run list for the unit.
-        std::sort(elide_accum.begin(), elide_accum.end(),
-                  [](const DiffRun& a, const DiffRun& b) {
-                    return a.word_offset < b.word_offset;
-                  });
-        elide_canon.clear();
-        for (const DiffRun& r : elide_accum) {
-          if (!elide_canon.empty() &&
-              r.word_offset <= elide_canon.back().word_offset +
-                                   elide_canon.back().word_count) {
-            DiffRun& back = elide_canon.back();
-            const std::uint32_t end =
-                std::max(back.word_offset + back.word_count,
-                         r.word_offset + r.word_count);
-            back.word_count = end - back.word_offset;
-          } else {
-            elide_canon.push_back(r);
-          }
-        }
-        std::vector<DiffRun>& elided = node.elided_[u];
-        if (elided.empty()) {
-          elided = elide_canon;
-        } else {
-          elided = Diff::MergeRuns(elided, elide_canon);
-        }
-      }
-      if (kept.empty()) continue;
 
       // Pre-state identity: (body pointer, blocked) per chain suffices.
       // A fault always consumes (clears) the chains it touches, and a GC
@@ -1442,9 +1297,6 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
       // tail_seq.  Batches from lock-heavy programs can hold hundreds of
       // records per unit, so evaluate it by binary search over the
       // sorted foreign clock entries instead of rescanning the batch.
-      // (Elided records are excluded: the chains they would have ordered
-      // against are not built for this node, and their words reach the
-      // image via the base refresh regardless of absorption shape.)
       for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
       for (const Resolved& q : kept) {
         for (ProcId w = 0; w < nprocs; ++w) {
@@ -1517,14 +1369,11 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
       chains_built += virgin_new_chains;
       chains_shared +=
           virgin_new_chains * static_cast<std::uint64_t>(virgin_consumers - 1);
-      records_elided +=
-          virgin_elided * static_cast<std::uint64_t>(virgin_consumers);
     }
   }
   ArchiveTelemetry& tel = shared.archive_telemetry;
   tel.chains_built.fetch_add(chains_built, std::memory_order_relaxed);
   tel.chains_shared.fetch_add(chains_shared, std::memory_order_relaxed);
-  tel.records_elided.fetch_add(records_elided, std::memory_order_relaxed);
 
   // Checkpoint-complete mode (DESIGN.md §9).  The pending-driven routing
   // above sends a record's words to the base only when some node still had
@@ -1568,11 +1417,10 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
 // disjoint words in concurrent intervals, so the tie-break is
 // unobservable there.  (Sums are precomputed at resolve time — deriving
 // them inside the comparator dominated this pass on lock-heavy batches.)
-// Also runs the base release-check for the stripe: a base neither a chain
-// nor an elided-run list references any more goes back to the pool
-// (elided runs pin the base because the silent refresh reads it at the
-// next fault).  Release never overlaps a concurrent worker's apply: a
-// unit with fresh references always retains chains or elided runs.
+// Also runs the base release-check for the stripe: a base no chain
+// references any more goes back to the pool.  Release never overlaps a
+// concurrent worker's apply: a unit with fresh references always retains
+// chains.
 void Node::GcApplyStripe(int start, int step) {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
@@ -1614,17 +1462,14 @@ void Node::GcApplyStripe(int start, int step) {
        u += static_cast<UnitId>(step)) {
     if (!shared.canonical->Has(u)) continue;
     // The virgin store pins the base too: any never-faulted node may adopt
-    // its chains/elided runs at a later fault and silently refresh from it.
-    bool needed = !shared.virgin_history[u].chains.empty() ||
-                  !shared.virgin_history[u].elided.empty();
+    // its chains at a later fault and copy from it.
+    bool needed = !shared.virgin_history[u].chains.empty();
     for (ProcId x = 0; x < nprocs; ++x) {
       // Lazy-header invariant (DESIGN.md §8): per-node chain state exists
       // only on registered sharers; everyone else reads the virgin store.
-      DSM_DCHECK((shared.nodes[x]->flattened_[u].empty() &&
-                  shared.nodes[x]->elided_[u].empty()) ||
+      DSM_DCHECK(shared.nodes[x]->flattened_[u].empty() ||
                  shared.sharers->IsSharer(u, x));
-      needed = needed || !shared.nodes[x]->flattened_[u].empty() ||
-               !shared.nodes[x]->elided_[u].empty();
+      needed = needed || !shared.nodes[x]->flattened_[u].empty();
     }
     if (!needed) shared.canonical->Release(u);
   }
@@ -1634,7 +1479,7 @@ void Node::GcApplyStripe(int start, int step) {
 // (FlattenedChains keep the lazy-diffing stamp arrays of their member
 // records alive).  Runs after the barrier window closes, concurrent with
 // resumed application threads: archives are mutex-guarded, every
-// dominated reference was converted to a chain or elided run in the
+// dominated reference was converted to a chain in the
 // flatten phase, and notices_seen_ >= through everywhere, so no fault or
 // notice collection can touch the pruned prefix.
 void Node::GcPruneOwn(const VectorClock& through) {
@@ -1666,10 +1511,6 @@ void Node::InvalidateFrom(
     const std::vector<const IntervalRecord*>& records) {
   const CostModel& cost = shared_.config.cost;
   for (const IntervalRecord* rec : records) {
-    // Read interest only feeds the LRC archive GC's read-aware
-    // flattening; HLRC has no archive, so its read path keeps the tight
-    // credit loop.
-    if (rec->lock_release && !hlrc_) tracker_.EnableInterest();
     for (UnitId unit : rec->units) {
       pending_[unit].push_back({rec->proc, rec->seq});
       const UnitState s = table_.state(unit);
@@ -1909,8 +1750,6 @@ void Node::AcquireLock(int lock_id) {
   }
   const CostModel& cost = shared_.config.cost;
 
-  // Read interest feeds the LRC archive GC only (no archive under HLRC).
-  if (!hlrc_) tracker_.EnableInterest();
   LockService::Grant grant = shared_.locks->Acquire(lock_id, id_);
   // Detector acquire (before the cached early-out: a cached re-acquire
   // still tracks the held set; a transfer merges the lock's clock).
@@ -1927,7 +1766,7 @@ void Node::AcquireLock(int lock_id) {
   // service-wide hand-off order, so diff requests issued from here on are
   // ordered after — and served from the cache of — anything materialized
   // under the previous holder's acquires.
-  if (shared_.config.lock_chain_phases && !hlrc_) {
+  if (!hlrc_) {
     lock_subphase_ = static_cast<std::uint32_t>(grant.chain_pos);
   }
 
@@ -1962,7 +1801,7 @@ void Node::AcquireLock(int lock_id) {
 
 void Node::ReleaseLock(int lock_id) {
   if (num_procs() == 1) return;
-  CloseInterval(/*lock_release=*/true);  // no-op when the protocol is off
+  CloseInterval();  // no-op when the protocol is off
   // Detector release strictly before the service release: the next
   // grantee's acquire hook must find this release's clock on the lock.
   if (race_ != nullptr) race_->OnLockRelease(id_, lock_id);

@@ -116,11 +116,14 @@ struct MemoryFootprint {
   std::uint64_t reclaimed_intervals = 0;
   std::uint64_t canonical_base_peak_bytes = 0;
   std::uint64_t gc_passes = 0;
-  // Archive-GC chain economics (DESIGN.md §6): chain bodies built, chain
-  // headers adopted from the GC's intern cache (shared flattened chains),
-  // and dominated record references skipped by read-aware flattening.
+  // Archive-GC chain economics (DESIGN.md §6): chain bodies built and
+  // chain headers adopted from the GC's intern cache (shared flattened
+  // chains).
   std::uint64_t chains_built = 0;
   std::uint64_t chains_shared = 0;
+  // Always 0: nothing counts it.  Kept only because the benchmark
+  // harness (perfbench/) still reports it as gc.records_elided; delete it
+  // together with that counter.
   std::uint64_t records_elided = 0;
 };
 

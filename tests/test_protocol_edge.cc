@@ -111,25 +111,6 @@ TEST(ProtocolEdge, DirtyUnitSurvivesInvalidationAndMerge) {
   EXPECT_EQ(final512, 200);
 }
 
-// Usage tracking off: results identical, classification becomes
-// all-useless (no credits), raw counts unchanged.
-TEST(ProtocolEdge, TrackingDisabledKeepsSemantics) {
-  RuntimeConfig cfg = Config(2);
-  cfg.track_usage = false;
-  Runtime rt(cfg);
-  auto a = rt.Alloc<int>(256, "a");
-  int seen = -1;
-  rt.Run([&](Proc& p) {
-    if (p.id() == 0) p.Write(a, 7, 77);
-    p.Barrier();
-    if (p.id() == 1) seen = p.Read(a, 7);
-  });
-  EXPECT_EQ(seen, 77);
-  RunStats s = rt.CollectStats();
-  EXPECT_EQ(s.comm.useful_messages, 0u);  // nothing credited
-  EXPECT_EQ(s.comm.useless_messages, 2u);
-}
-
 // Multi-unit element access: a struct spanning two consistency units is
 // read and written coherently.
 TEST(ProtocolEdge, AccessSpanningUnits) {

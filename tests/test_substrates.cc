@@ -386,83 +386,77 @@ struct WordTrackerModel {
 // word, whole-unit fills, redeliveries over fresh words), each followed by
 // a random local read or write.  After every step every tag, every fresh
 // count and the full credit sequence must equal the per-word model's.
-// Runs with and without read interest, which routes OnRead through the
-// out-of-line credit loop.
 TEST(WordTracker, RunDeliveryMatchesPerWordModel) {
   constexpr std::size_t kUnits = 3;
   constexpr std::uint32_t kWords = 64;
-  for (const bool interest : {false, true}) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      SCOPED_TRACE(testing::Message()
-                   << "seed " << seed << " interest " << interest);
-      Xoshiro256 rng(seed);
-      WordTracker tracker(kUnits, kWords);
-      if (interest) tracker.EnableInterest();
-      WordTrackerModel model(kUnits, kWords);
-      std::vector<std::uint32_t> got, want;
-      int tail_runs = 0, partial_fills = 0, redeliveries = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Xoshiro256 rng(seed);
+    WordTracker tracker(kUnits, kWords);
+    WordTrackerModel model(kUnits, kWords);
+    std::vector<std::uint32_t> got, want;
+    int tail_runs = 0, partial_fills = 0, redeliveries = 0;
 
-      for (std::uint32_t step = 0; step < 400; ++step) {
-        const auto unit = static_cast<UnitId>(rng.UniformInt(kUnits));
-        std::uint32_t first = 0, count = kWords;
-        switch (rng.UniformInt(4)) {
-          case 0:  // sparse run anywhere
-            first = static_cast<std::uint32_t>(rng.UniformInt(kWords));
-            count = 1 + static_cast<std::uint32_t>(
-                            rng.UniformInt(std::min(8u, kWords - first)));
-            break;
-          case 1:  // run ending on the unit's last word
-            first = static_cast<std::uint32_t>(rng.UniformInt(kWords));
-            count = kWords - first;
-            ++tail_runs;
-            break;
-          case 2:  // whole-unit fill
-            if (const std::uint32_t f = model.Fresh(unit); f > 0 && f < kWords)
-              ++partial_fills;
-            break;
-          default: {  // redelivery over the first fresh word, if any
-            const auto& tags = model.tags[unit];
-            const auto it = std::find_if(tags.begin(), tags.end(),
-                                         [](std::uint32_t t) { return t != 0; });
-            if (it == tags.end()) continue;
-            first = static_cast<std::uint32_t>(it - tags.begin());
-            count = 1 + static_cast<std::uint32_t>(
-                            rng.UniformInt(kWords - first));
-            ++redeliveries;
-            break;
-          }
-        }
-        tracker.Deliver(unit, first, count, step);
-        model.Deliver(unit, first, count, step);
-
-        const auto local = static_cast<UnitId>(rng.UniformInt(kUnits));
-        const auto at = static_cast<std::uint32_t>(rng.UniformInt(kWords));
-        const auto len =
-            1 + static_cast<std::uint32_t>(rng.UniformInt(kWords - at));
-        if (rng.UniformInt(2) == 0) {
-          tracker.OnRead(local, at, len,
-                         [&](std::uint32_t m) { got.push_back(m); });
-          model.OnRead(local, at, len, want);
-        } else {
-          tracker.OnWrite(local, at, len);
-          model.OnWrite(local, at, len);
-        }
-
-        ASSERT_EQ(got, want) << "step " << step;
-        for (UnitId u = 0; u < kUnits; ++u) {
-          ASSERT_EQ(tracker.fresh_count(u), model.Fresh(u))
-              << "step " << step << " unit " << u;
-          for (std::uint32_t w = 0; w < kWords; ++w) {
-            ASSERT_EQ(tracker.Tag(u, w), model.tags[u][w])
-                << "step " << step << " unit " << u << " word " << w;
-          }
+    for (std::uint32_t step = 0; step < 400; ++step) {
+      const auto unit = static_cast<UnitId>(rng.UniformInt(kUnits));
+      std::uint32_t first = 0, count = kWords;
+      switch (rng.UniformInt(4)) {
+        case 0:  // sparse run anywhere
+          first = static_cast<std::uint32_t>(rng.UniformInt(kWords));
+          count = 1 + static_cast<std::uint32_t>(
+                          rng.UniformInt(std::min(8u, kWords - first)));
+          break;
+        case 1:  // run ending on the unit's last word
+          first = static_cast<std::uint32_t>(rng.UniformInt(kWords));
+          count = kWords - first;
+          ++tail_runs;
+          break;
+        case 2:  // whole-unit fill
+          if (const std::uint32_t f = model.Fresh(unit); f > 0 && f < kWords)
+            ++partial_fills;
+          break;
+        default: {  // redelivery over the first fresh word, if any
+          const auto& tags = model.tags[unit];
+          const auto it = std::find_if(tags.begin(), tags.end(),
+                                       [](std::uint32_t t) { return t != 0; });
+          if (it == tags.end()) continue;
+          first = static_cast<std::uint32_t>(it - tags.begin());
+          count = 1 + static_cast<std::uint32_t>(
+                          rng.UniformInt(kWords - first));
+          ++redeliveries;
+          break;
         }
       }
-      // Each boundary case above was actually exercised.
-      EXPECT_GT(tail_runs, 0);
-      EXPECT_GT(partial_fills, 0);
-      EXPECT_GT(redeliveries, 0);
+      tracker.Deliver(unit, first, count, step);
+      model.Deliver(unit, first, count, step);
+
+      const auto local = static_cast<UnitId>(rng.UniformInt(kUnits));
+      const auto at = static_cast<std::uint32_t>(rng.UniformInt(kWords));
+      const auto len =
+          1 + static_cast<std::uint32_t>(rng.UniformInt(kWords - at));
+      if (rng.UniformInt(2) == 0) {
+        tracker.OnRead(local, at, len,
+                       [&](std::uint32_t m) { got.push_back(m); });
+        model.OnRead(local, at, len, want);
+      } else {
+        tracker.OnWrite(local, at, len);
+        model.OnWrite(local, at, len);
+      }
+
+      ASSERT_EQ(got, want) << "step " << step;
+      for (UnitId u = 0; u < kUnits; ++u) {
+        ASSERT_EQ(tracker.fresh_count(u), model.Fresh(u))
+            << "step " << step << " unit " << u;
+        for (std::uint32_t w = 0; w < kWords; ++w) {
+          ASSERT_EQ(tracker.Tag(u, w), model.tags[u][w])
+              << "step " << step << " unit " << u << " word " << w;
+        }
+      }
     }
+    // Each boundary case above was actually exercised.
+    EXPECT_GT(tail_runs, 0);
+    EXPECT_GT(partial_fills, 0);
+    EXPECT_GT(redeliveries, 0);
   }
 }
 
