@@ -38,34 +38,38 @@ void Mgs::Body(Proc& p) {
     return static_cast<int>(vec % static_cast<std::size_t>(P));
   };
 
-  // Deterministic well-conditioned initialization: every owner fills its
-  // vectors (diagonal dominance keeps the basis numerically stable).
+  // Rows are contiguous, so every sweep below is one span access per row
+  // (DESIGN.md §2).  Where a word is read twice the row is read twice, so
+  // the per-word charges match element-wise access exactly.
+  std::vector<float> row(N);
+
+  // Deterministic well-conditioned initialization: every processor draws
+  // the full random stream, and each owner writes its vectors (diagonal
+  // dominance keeps the basis numerically stable).
   {
     Xoshiro256 rng(0xA5C0FFEEu);
     for (std::size_t v = 0; v < M; ++v) {
       for (std::size_t k = 0; k < N; ++k) {
-        const float x =
-            static_cast<float>(rng.UniformDouble(-0.5, 0.5)) +
-            (k % M == v ? 4.0f : 0.0f);
-        if (owner(v) == p.id()) p.Write(vectors_, at(v, k), x);
+        row[k] = static_cast<float>(rng.UniformDouble(-0.5, 0.5)) +
+                 (k % M == v ? 4.0f : 0.0f);
       }
+      if (owner(v) == p.id()) p.Write(vectors_, at(v, 0), row);
     }
   }
   p.Barrier();
 
   std::vector<float> pivot(N);
   for (std::size_t i = 0; i < M; ++i) {
-    // Owner normalizes the pivot vector.
+    // Owner normalizes the pivot vector: read it for the norm, then read,
+    // scale and write it back.
     if (owner(i) == p.id()) {
+      p.Read(vectors_, at(i, 0), row);
       double norm2 = 0.0;
-      for (std::size_t k = 0; k < N; ++k) {
-        const float x = p.Read(vectors_, at(i, k));
-        norm2 += static_cast<double>(x) * x;
-      }
+      for (const float x : row) norm2 += static_cast<double>(x) * x;
       const float inv = static_cast<float>(1.0 / std::sqrt(norm2));
-      for (std::size_t k = 0; k < N; ++k) {
-        p.Write(vectors_, at(i, k), p.Read(vectors_, at(i, k)) * inv);
-      }
+      p.Read(vectors_, at(i, 0), row);
+      for (float& x : row) x *= inv;
+      p.Write(vectors_, at(i, 0), row);
       p.Compute(4 * N);
     }
     p.Barrier();
@@ -75,20 +79,18 @@ void Mgs::Body(Proc& p) {
     for (std::size_t j = i + 1; j < M; ++j) {
       if (owner(j) != p.id()) continue;
       if (!have_pivot) {  // read the pivot once per processor
-        for (std::size_t k = 0; k < N; ++k) {
-          pivot[k] = p.Read(vectors_, at(i, k));
-        }
+        p.Read(vectors_, at(i, 0), pivot);
         have_pivot = true;
       }
+      p.Read(vectors_, at(j, 0), row);
       double dot = 0.0;
       for (std::size_t k = 0; k < N; ++k) {
-        dot += static_cast<double>(p.Read(vectors_, at(j, k))) * pivot[k];
+        dot += static_cast<double>(row[k]) * pivot[k];
       }
       const float d = static_cast<float>(dot);
-      for (std::size_t k = 0; k < N; ++k) {
-        p.Write(vectors_, at(j, k),
-                p.Read(vectors_, at(j, k)) - d * pivot[k]);
-      }
+      p.Read(vectors_, at(j, 0), row);
+      for (std::size_t k = 0; k < N; ++k) row[k] -= d * pivot[k];
+      p.Write(vectors_, at(j, 0), row);
       p.Compute(4 * N);
     }
     p.Barrier();
@@ -96,16 +98,16 @@ void Mgs::Body(Proc& p) {
 
   // Verification: sum of |v_i · v_i - 1| over owned vectors (should be ~0)
   // plus a sample of cross dot products, reduced globally.
+  std::vector<float> next(N);
   double err = 0.0;
   for (std::size_t v = 0; v < M; ++v) {
     if (owner(v) != p.id()) continue;
+    p.Read(vectors_, at(v, 0), row);
+    if (v + 1 < M) p.Read(vectors_, at(v + 1, 0), next);
     double self = 0.0, cross = 0.0;
     for (std::size_t k = 0; k < N; ++k) {
-      const float x = p.Read(vectors_, at(v, k));
-      self += static_cast<double>(x) * x;
-      if (v + 1 < M) {
-        cross += static_cast<double>(x) * p.Read(vectors_, at(v + 1, k));
-      }
+      self += static_cast<double>(row[k]) * row[k];
+      if (v + 1 < M) cross += static_cast<double>(row[k]) * next[k];
     }
     err += std::abs(self - 1.0) + std::abs(cross);
   }

@@ -14,6 +14,14 @@
 //   });
 //   dsm::RunStats stats = rt.CollectStats();
 //
+// Contiguous rows go through the span overloads, one charged access per
+// call instead of one per element (modelled-identical, DESIGN.md §2):
+//
+//   std::vector<float> row(cols);
+//   p.Read(grid, r * cols, row);              // elements [r*cols, +cols)
+//   for (float& x : row) x *= 0.5f;
+//   p.Write(grid, r * cols, row);
+//
 // One Runtime = one DSM session: allocate shared memory, run one parallel
 // region (one function executed by every logical processor), then collect
 // the communication statistics and modelled execution time.
@@ -21,6 +29,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -73,6 +82,27 @@ class Proc {
   template <typename T>
   void Write(const SharedArray<T>& a, std::size_t i, const T& v) {
     node_.WriteBytes(a.addr_of(i), &v, sizeof(T));
+  }
+
+  // Contiguous-range access to elements [i, i + n): one charged access of
+  // n * sizeof(T) bytes.  Modelled-identical to the n per-element
+  // accesses made in the same per-unit first-touch order (DESIGN.md §2).
+  // An empty span touches nothing: no fault, no clock advance.  T is
+  // taken from the array, so a std::vector<T> binds directly.
+  template <typename T>
+  void Read(const SharedArray<T>& a, std::size_t i,
+            std::span<std::type_identity_t<T>> out) {
+    if (out.empty()) return;
+    DSM_DCHECK(i + out.size() <= a.size());
+    node_.ReadBytes(a.addr_of(i), out.data(), out.size_bytes());
+  }
+
+  template <typename T>
+  void Write(const SharedArray<T>& a, std::size_t i,
+             std::span<const std::type_identity_t<T>> in) {
+    if (in.empty()) return;
+    DSM_DCHECK(i + in.size() <= a.size());
+    node_.WriteBytes(a.addr_of(i), in.data(), in.size_bytes());
   }
 
   // Raw-address access, for per-field access into shared structs:

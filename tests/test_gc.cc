@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "apps/registry.h"
+#include "modelled_state.h"
 
 namespace dsm::apps {
 namespace {
@@ -41,45 +42,6 @@ RuntimeConfig GcConfig(const AggPoint& agg, int num_procs, int gc_interval) {
   cfg.pages_per_unit = agg.ppu;
   cfg.gc_interval_barriers = gc_interval;
   return cfg;
-}
-
-// Every modelled quantity, bit for bit.  MemoryFootprint is deliberately
-// NOT compared: it is host-side telemetry and legitimately changes with
-// the GC setting.
-void ExpectModelledStateEqual(const RunStats& a, const RunStats& b,
-                              const std::string& where) {
-  EXPECT_EQ(a.exec_time, b.exec_time) << where;
-  EXPECT_EQ(a.node_times, b.node_times) << where;
-
-  const CommBreakdown& ca = a.comm;
-  const CommBreakdown& cb = b.comm;
-  EXPECT_EQ(ca.useful_messages, cb.useful_messages) << where;
-  EXPECT_EQ(ca.useless_messages, cb.useless_messages) << where;
-  EXPECT_EQ(ca.sync_messages, cb.sync_messages) << where;
-  EXPECT_EQ(ca.useful_data_bytes, cb.useful_data_bytes) << where;
-  EXPECT_EQ(ca.piggyback_useless_bytes, cb.piggyback_useless_bytes) << where;
-  EXPECT_EQ(ca.useless_msg_data_bytes, cb.useless_msg_data_bytes) << where;
-  EXPECT_EQ(ca.delivered_data_bytes, cb.delivered_data_bytes) << where;
-  EXPECT_EQ(ca.read_faults, cb.read_faults) << where;
-  EXPECT_EQ(ca.write_faults, cb.write_faults) << where;
-  EXPECT_EQ(ca.silent_validations, cb.silent_validations) << where;
-  EXPECT_EQ(ca.twins_created, cb.twins_created) << where;
-  EXPECT_EQ(ca.diffs_created, cb.diffs_created) << where;
-  EXPECT_EQ(ca.diffs_applied, cb.diffs_applied) << where;
-  EXPECT_EQ(ca.units_invalidated, cb.units_invalidated) << where;
-  EXPECT_EQ(ca.group_prefetch_units, cb.group_prefetch_units) << where;
-  EXPECT_EQ(ca.home_flush_messages, cb.home_flush_messages) << where;
-  EXPECT_EQ(ca.home_flushes, cb.home_flushes) << where;
-  EXPECT_EQ(ca.home_flush_bytes, cb.home_flush_bytes) << where;
-  EXPECT_EQ(ca.home_fetches, cb.home_fetches) << where;
-  EXPECT_EQ(ca.home_fetch_bytes, cb.home_fetch_bytes) << where;
-  EXPECT_EQ(ca.signature.ToString(), cb.signature.ToString()) << where;
-
-  for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-    const auto kind = static_cast<MessageKind>(k);
-    EXPECT_EQ(a.net.messages(kind), b.net.messages(kind)) << where;
-    EXPECT_EQ(a.net.bytes(kind), b.net.bytes(kind)) << where;
-  }
 }
 
 class GcEquivalenceTest

@@ -1,12 +1,18 @@
 // Protocol edge cases: diff chains under lock ordering, coalescing
-// correctness, invalidation of dirty units, stats plumbing, and label /
-// config helpers.
+// correctness, invalidation of dirty units, span access against
+// per-element access, stats plumbing, and label / config helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/runtime.h"
+#include "modelled_state.h"
 
 namespace dsm {
 namespace {
@@ -195,6 +201,205 @@ TEST(ProtocolEdge, DeterministicReplay) {
   EXPECT_EQ(a.comm.useless_messages, b.comm.useless_messages);
   EXPECT_EQ(a.comm.useful_data_bytes, b.comm.useful_data_bytes);
   EXPECT_EQ(a.net.total_bytes(), b.net.total_bytes());
+}
+
+// --- span access ---------------------------------------------------------------
+//
+// Proc::Read/Write over a span is one charged access.  It must be
+// modelled-identical to the same per-element accesses made in the same
+// per-unit first-touch order (DESIGN.md §2).  One barrier program runs
+// twice per backend × unit cell, element by element and with spans, and
+// every modelled number, every value read and the race reports must match.
+
+struct SpanCell {
+  const char* label;
+  AggregationMode mode;
+  int ppu;
+};
+
+const SpanCell kSpanCells[] = {
+    {"4K", AggregationMode::kStatic, 1},
+    {"16K", AggregationMode::kStatic, 4},
+    {"Dyn", AggregationMode::kDynamic, 1},
+};
+
+constexpr std::size_t kRegion = 4096;  // words per 16 KB: a unit boundary
+constexpr std::size_t kPageWords = 1024;
+
+struct SpanRun {
+  RunStats stats;
+  std::vector<double> sums;  // per proc: every value it read, in order
+  // Probes of the span variant (the element variant leaves them false).
+  bool straddle_second_invalid = false;  // proc 0's read-modify-write row
+  bool updated_invalid_seen = false;     // proc 2's grouped page
+  std::vector<char> empty_spans_inert;   // per proc
+};
+
+SpanRun RunSpanProgram(BackendKind backend, const SpanCell& cell,
+                       bool spans) {
+  RuntimeConfig cfg = Config(4, cell.ppu);
+  cfg.backend = backend;
+  cfg.aggregation = cell.mode;
+  cfg.race_check = true;
+  Runtime rt(cfg);
+  // Regions 0-4 hold the straddling reads, 5-9 the straddling
+  // read-modify-writes, 10 the grouped pages, the 10/11 edge the planted race.
+  auto a = rt.AllocUnitAligned<float>(12 * kRegion, "a");
+  SpanRun run;
+  run.sums.assign(4, 0.0);
+  run.empty_spans_inert.assign(4, 0);
+  std::mutex race_mu;
+
+  auto read = [&](Proc& p, std::size_t i, std::span<float> out) {
+    if (spans) {
+      p.Read(a, i, out);
+    } else {
+      for (std::size_t k = 0; k < out.size(); ++k) out[k] = p.Read(a, i + k);
+    }
+  };
+  auto write = [&](Proc& p, std::size_t i, std::span<const float> in) {
+    if (spans) {
+      p.Write(a, i, in);
+    } else {
+      for (std::size_t k = 0; k < in.size(); ++k) p.Write(a, i + k, in[k]);
+    }
+  };
+  auto state_at = [&](Proc& p, std::size_t i) {
+    return p.node().page_table().state(rt.heap().UnitOf(a.addr_of(i)));
+  };
+
+  rt.Run([&](Proc& p) {
+    const auto q = static_cast<std::size_t>(p.id());
+    double& sum = run.sums[q];
+    std::vector<float> buf(kRegion);
+    auto fill = [&](std::size_t region) {
+      for (std::size_t k = 0; k < kRegion; ++k) {
+        buf[k] = static_cast<float>(region * kRegion + k);
+      }
+      write(p, region * kRegion, buf);
+    };
+    fill(q);
+    fill(5 + q);
+    if (q == 0) {
+      fill(4);
+      fill(9);
+      fill(10);
+    }
+    p.Barrier();
+
+    // Rows straddling the edge into a region another proc wrote: the
+    // first unit is valid here, the second invalid.
+    const std::size_t edge = (q + 1) * kRegion;
+    const std::size_t rmw_edge = (6 + q) * kRegion;
+    if (spans) {
+      const VirtualNanos t0 = p.now();
+      const CommBreakdown& c = p.node().comm_stats().counters();
+      const std::uint64_t faults = c.read_faults + c.write_faults;
+      const UnitState s0 = state_at(p, edge);
+      p.Read(a, edge, std::span<float>());
+      p.Write(a, edge, std::span<const float>());
+      p.Read(a, a.size(), std::span<float>());
+      run.empty_spans_inert[q] = p.now() == t0 &&
+                                 c.read_faults + c.write_faults == faults &&
+                                 state_at(p, edge) == s0;
+      if (q == 0) {
+        run.straddle_second_invalid =
+            state_at(p, rmw_edge - 1) != UnitState::kInvalid &&
+            state_at(p, rmw_edge) == UnitState::kInvalid;
+      }
+    }
+    std::span<float> row(buf.data(), 128);
+    read(p, edge - 64, row);
+    for (const float x : row) sum += x;
+
+    // Read-modify-write of a row: read it whole, then write it whole,
+    // against interleaved per-word read/write.
+    if (spans) {
+      p.Read(a, rmw_edge - 64, row);
+      for (float& x : row) x = 2.0f * x + 1.0f;
+      p.Write(a, rmw_edge - 64, row);
+      for (const float x : row) sum += x;
+    } else {
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        const float x = 2.0f * p.Read(a, rmw_edge - 64 + k) + 1.0f;
+        p.Write(a, rmw_edge - 64 + k, x);
+        sum += x;
+      }
+    }
+    p.Barrier();
+
+    // Proc 2 reads two pages that proc 0 rewrites each round.  Under Dyn
+    // the first round groups them, so in the second the first page's
+    // fault fetches both and leaves the second kUpdatedInvalid.
+    const std::size_t pages = 10 * kRegion;
+    for (int round = 0; round < 2; ++round) {
+      if (q == 0) {
+        std::fill(buf.begin(), buf.begin() + 8, 100.0f + round);
+        write(p, pages, std::span<const float>(buf.data(), 8));
+        write(p, pages + kPageWords, std::span<const float>(buf.data(), 8));
+      }
+      p.Barrier();
+      if (q == 2) {
+        std::span<float> page(buf.data(), kPageWords);
+        read(p, pages, page);
+        for (const float x : page) sum += x;
+        if (spans && round == 1) {
+          run.updated_invalid_seen =
+              state_at(p, pages + kPageWords) == UnitState::kUpdatedInvalid;
+        }
+        read(p, pages + kPageWords, page);
+        for (const float x : page) sum += x;
+      }
+      p.Barrier();
+    }
+
+    // Planted race across a unit edge: procs 1 and 3 write the same words
+    // with no DSM synchronization between them (the host mutex only keeps
+    // the reference backend's single image free of host data races).
+    if (q == 1 || q == 3) {
+      std::fill(buf.begin(), buf.begin() + 8, static_cast<float>(q));
+      std::lock_guard<std::mutex> guard(race_mu);
+      write(p, 11 * kRegion - 4, std::span<const float>(buf.data(), 8));
+    }
+    p.Barrier();
+  });
+  run.stats = rt.CollectStats();
+  return run;
+}
+
+TEST(SpanAccess, MatchesPerElementAccess) {
+  for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc,
+                              BackendKind::kReference}) {
+    for (const SpanCell& cell : kSpanCells) {
+      RuntimeConfig label_cfg;
+      label_cfg.backend = backend;
+      const std::string where =
+          std::string(cell.label) + "/" + label_cfg.BackendLabel();
+      const SpanRun elems = RunSpanProgram(backend, cell, /*spans=*/false);
+      const SpanRun spans = RunSpanProgram(backend, cell, /*spans=*/true);
+
+      ExpectModelledStateEqual(spans.stats, elems.stats, where);
+      EXPECT_EQ(spans.sums, elems.sums) << where;
+      ASSERT_TRUE(spans.stats.races.checked) << where;
+      EXPECT_FALSE(spans.stats.races.reports.empty()) << where;
+      EXPECT_TRUE(spans.stats.races.reports == elems.stats.races.reports)
+          << where << "\nspans:\n"
+          << spans.stats.races.ToString() << "\nelements:\n"
+          << elems.stats.races.ToString();
+      EXPECT_EQ(spans.stats.races.dropped, elems.stats.races.dropped)
+          << where;
+
+      // The probes: each case the program is built for actually happened.
+      EXPECT_EQ(spans.empty_spans_inert, std::vector<char>(4, 1)) << where;
+      if (backend == BackendKind::kReference) continue;
+      EXPECT_TRUE(spans.straddle_second_invalid) << where;
+      const bool dynamic = cell.mode == AggregationMode::kDynamic;
+      EXPECT_EQ(spans.updated_invalid_seen, dynamic) << where;
+      if (dynamic) {
+        EXPECT_GT(spans.stats.comm.silent_validations, 0u) << where;
+      }
+    }
+  }
 }
 
 // --- RuntimeConfig validation (fail-fast misuse diagnostics) -----------------
