@@ -1,13 +1,16 @@
 // Host-side throughput of the twin/diff machinery (the simulator's hot
 // paths): diff creation, application, and merge across unit sizes and
 // modification densities, plus the usefulness tracker's delivery of the
-// words a diff or home fetch brings in.
+// words a diff or home fetch brings in.  The *Row cases take the MGS
+// false-sharing shape (a 16K unit holding four 1024-word rows, one per
+// proc) and measure what the block summaries save.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <vector>
 
 #include "common/rng.h"
+#include "mem/block_mask.h"
 #include "mem/diff.h"
 #include "mem/word_tracker.h"
 
@@ -136,8 +139,8 @@ void BM_DiffMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffMerge)->Arg(4096)->Arg(16384);
 
-// WordTracker delivery as the fault path drives it: one call per run of a
-// sparse diff (16 runs of 8 words) into one unit, then one whole-unit fill
+// WordTracker delivery as the fault path drives it: one call for a sparse
+// diff's runs (16 runs of 8 words) into one unit, then one whole-unit fill
 // of another, as a home fetch does.  Bytes processed = words tagged.
 void BM_WordTrackerDeliver(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
@@ -147,9 +150,7 @@ void BM_WordTrackerDeliver(benchmark::State& state) {
   WordTracker tracker(2, words);
   std::uint32_t msg = 0;
   for (auto _ : state) {
-    for (const DiffRun& run : d.runs()) {
-      tracker.Deliver(0, run.word_offset, run.word_count, msg);
-    }
+    tracker.DeliverRuns(0, d.runs(), msg);
     tracker.Deliver(1, 0, words, msg);
     benchmark::DoNotOptimize(tracker.fresh_count(0));
     benchmark::DoNotOptimize(tracker.fresh_count(1));
@@ -159,6 +160,46 @@ void BM_WordTrackerDeliver(benchmark::State& state) {
                           static_cast<std::int64_t>(d.payload_bytes() + bytes));
 }
 BENCHMARK(BM_WordTrackerDeliver)->Arg(4096)->Arg(16384);
+
+constexpr std::uint32_t kMgsUnitWords = 4096;  // 16K unit
+constexpr std::uint32_t kMgsRowWords = 1024;   // four rows per unit
+
+// The owner's span read of its own row in a unit whose three foreign rows
+// a fault delivered and nobody reads: the tags stay live, so every read
+// consults the block summary, which proves the own row tag-free.
+void BM_WordTrackerOwnRowRead(benchmark::State& state) {
+  WordTracker tracker(1, kMgsUnitWords);
+  for (std::uint32_t r = 1; r < 4; ++r) {
+    tracker.Deliver(0, r * kMgsRowWords, kMgsRowWords, r);
+  }
+  std::uint64_t credits = 0;
+  for (auto _ : state) {
+    tracker.OnRead(0, 0, kMgsRowWords, [&](std::uint32_t) { ++credits; });
+    benchmark::DoNotOptimize(credits);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          std::int64_t{kMgsRowWords * kWordBytes});
+}
+BENCHMARK(BM_WordTrackerOwnRowRead);
+
+// Release-time twin scan of a 16K unit whose writer rewrote one 4K row
+// (every word changed): Arg 0 scans the whole unit, Arg 1 only the row's
+// written blocks, as CloseInterval does.
+void BM_DiffCreateWrittenRow(benchmark::State& state) {
+  const bool bounded = state.range(0) != 0;
+  Buffers b = MakeRunBuffers(kMgsUnitWords * kWordBytes, 1, kMgsRowWords, 42);
+  const std::uint64_t written =
+      bounded ? BlockMask(0, kMgsRowWords, BlockShift(kMgsUnitWords))
+              : kAllBlocks;
+  state.SetLabel(bounded ? "bounded" : "full");
+  for (auto _ : state) {
+    Diff d = Diff::Create(b.twin, b.current, written);
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          std::int64_t{kMgsUnitWords * kWordBytes});
+}
+BENCHMARK(BM_DiffCreateWrittenRow)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace dsm

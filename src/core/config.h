@@ -202,16 +202,6 @@ struct RuntimeConfig {
   // ranges, trading hot-home risk for fewer homes per multi-unit fetch).
   int hlrc_home_block_units = 1;
 
-  // Home-based LRC only: track a per-unit clean-twin flag (no byte of the
-  // unit changed since the twin was taken) and skip the release-time
-  // eager diff SCAN over units whose flag is still clean.  Host-side
-  // optimization only — the modelled diff-create cost and every modelled
-  // counter (diffs_created, home flush messages/bytes) are charged as if
-  // the scan ran, so modelled state is bit-identical under either
-  // setting.  Programs that rewrite values in place (empty diffs) skip
-  // the full twin comparison at every release.
-  bool hlrc_skip_clean_diff_scan = true;
-
   // Number of DSM lock ids available to the application.
   int num_locks = 4096;
 

@@ -158,11 +158,11 @@ Node::Node(ProcId id, SharedState& shared)
       shared_(shared),
       unit_bytes_(shared.heap.unit_bytes()),
       unit_shift_(shared.heap.unit_shift()),
+      block_shift_(BlockShift(unit_bytes_ / kWordBytes)),
       protocol_enabled_(shared.config.num_procs > 1 &&
                         shared.config.backend != BackendKind::kReference),
       hlrc_(protocol_enabled_ &&
             shared.config.backend == BackendKind::kHlrc),
-      twin_track_(hlrc_ && shared.config.hlrc_skip_clean_diff_scan),
       shared_access_cost_(shared.config.cost.shared_access),
       race_(shared.race.get()),
       image_(shared.reference_image
@@ -177,6 +177,7 @@ Node::Node(ProcId id, SharedState& shared)
       retwin_cheap_(shared.heap.num_units(), 0),
       diff_requested_(shared.heap.num_units()),
       diff_request_seen_(shared.heap.num_units(), 0),
+      written_(shared.heap.num_units(), 0),
       aggregator_(shared.heap.num_units(), shared.config.max_group_pages),
       vc_(shared.config.num_procs),
       notices_seen_(shared.config.num_procs),
@@ -188,7 +189,6 @@ Node::Node(ProcId id, SharedState& shared)
     hlrc_flush_server_.assign(
         static_cast<std::size_t>(shared.config.num_procs), 0);
   }
-  if (twin_track_) twin_dirty_.assign(shared.heap.num_units(), 0);
 }
 
 void Node::ReadBytesSlow(GlobalAddr addr, void* out, std::size_t bytes) {
@@ -232,10 +232,7 @@ void Node::WriteBytesSlow(GlobalAddr addr, const void* in,
       tracker_.OnWrite(unit,
                        static_cast<std::uint32_t>(offset_in_unit / kWordBytes),
                        static_cast<std::uint32_t>(chunk / kWordBytes));
-      if (twin_track_ && twin_dirty_[unit] == 0 &&
-          std::memcmp(data_ + addr, src, chunk) != 0) {
-        twin_dirty_[unit] = 1;
-      }
+      MarkWritten(unit, offset_in_unit, chunk);
     }
     if (race_ != nullptr) {
       RaceOnAccess(unit, offset_in_unit, chunk, /*is_write=*/true);
@@ -292,7 +289,7 @@ void Node::TwinUnit(UnitId unit, bool cheap) {
   table_.set_state(unit, UnitState::kDirty);
   comm_stats_.counters().twins_created += 1;
   retwin_cheap_[unit] = 0;
-  if (twin_track_) twin_dirty_[unit] = 0;  // twin == image at creation
+  written_[unit] = 0;  // twin == image at creation
   // A fresh twin settles all drained requests; live (same-phase) request
   // flags are left for the next barrier drain, so a request concurrent
   // with this interval makes the NEXT re-twin expensive regardless of
@@ -635,17 +632,11 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
           d->Apply(dst);
           if (twinned) d->Apply(table_.twin(unit));
         }
-        for (const DiffRun& run : runs) {
-          tracker_.Deliver(unit, run.word_offset, run.word_count,
-                           need.exchange_id);
-        }
+        tracker_.DeliverRuns(unit, runs, need.exchange_id);
       } else {
         need.diff->Apply(UnitSpan(unit));
         if (twinned) need.diff->Apply(table_.twin(unit));
-        for (const DiffRun& run : need.diff->runs()) {
-          tracker_.Deliver(unit, run.word_offset, run.word_count,
-                           need.exchange_id);
-        }
+        tracker_.DeliverRuns(unit, need.diff->runs(), need.exchange_id);
       }
       const std::size_t payload_bytes = need.PayloadWords() * kWordBytes;
       comm_stats_.counters().diffs_applied += 1;
@@ -679,7 +670,8 @@ void Node::CloseInterval() {
   // unit re-dirtied before any such request re-twins for free.
   for (UnitId unit : dirty) {
     rec.units.push_back(unit);
-    rec.diffs.push_back(Diff::Create(table_.twin(unit), UnitSpan(unit)));
+    rec.diffs.push_back(
+        Diff::Create(table_.twin(unit), UnitSpan(unit), written_[unit]));
     table_.DropTwin(unit);
     if (table_.state(unit) == UnitState::kDirty) {
       table_.set_state(unit, UnitState::kReadValid);
@@ -725,24 +717,13 @@ void Node::HlrcFlushInterval() {
     // Notice-only record: the empty diff keeps the archive's units/diffs
     // parallel-array invariant without retaining any payload.
     rec.diffs.emplace_back();
-    // The modelled scan always runs — eager diffing is how the releaser
-    // discovers emptiness — even when the host-side scan below is
-    // skipped, so modelled time and counters are knob-independent.
+    // The modelled scan covers the whole unit — eager diffing is how the
+    // releaser discovers emptiness — while the host scan below visits
+    // only the written blocks.
     create_cost += cost.DiffCreateCost(unit_bytes_);
     comm_stats_.counters().diffs_created += 1;
-    if (twin_track_ && twin_dirty_[unit] == 0) {
-      // Clean twin: no byte changed since TwinUnit took the snapshot
-      // (WriteBytes keeps the flag exact with a value comparison), so the
-      // eager scan would yield an empty diff — nothing for the home and
-      // no flush message.  Skip the host-side twin comparison.
-      DSM_DCHECK(Diff::Create(table_.twin(unit), UnitSpan(unit)).empty());
-      table_.DropTwin(unit);
-      if (table_.state(unit) == UnitState::kDirty) {
-        table_.set_state(unit, UnitState::kReadValid);
-      }
-      continue;
-    }
-    const Diff diff = Diff::Create(table_.twin(unit), UnitSpan(unit));
+    const Diff diff =
+        Diff::Create(table_.twin(unit), UnitSpan(unit), written_[unit]);
     const ProcId home = shared_.EffectiveHome(unit);
     // An empty diff means the interval changed no bytes: the twin scan
     // above is still paid (eager diffing discovers the emptiness), but
@@ -878,14 +859,7 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
       // of the LRC path's "apply foreign diffs to image AND twin", so
       // diff(twin, image) still yields exactly the local modifications.
       Diff local;
-      if (twinned) {
-        if (!twin_track_ || twin_dirty_[unit] != 0) {
-          local = Diff::Create(table_.twin(unit), dst);
-        } else {
-          // Clean twin: the capture scan would find nothing.
-          DSM_DCHECK(Diff::Create(table_.twin(unit), dst).empty());
-        }
-      }
+      if (twinned) local = Diff::Create(table_.twin(unit), dst, written_[unit]);
       {
         const std::byte* src =
             shared_.home_image.get() + shared_.heap.UnitBase(unit);
@@ -895,10 +869,10 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
           std::memcpy(table_.twin(unit).data(), src, unit_bytes_);
         }
       }
-      if (twinned && !local.empty()) local.Apply(dst);
       // The twin now matches the home copy and the image differs from it
-      // by exactly `local`: re-anchor the clean flag.
-      if (twin_track_ && twinned) twin_dirty_[unit] = local.empty() ? 0 : 1;
+      // by exactly `local`, whose runs lie inside the written blocks, so
+      // written_[unit] still bounds the next scan.
+      if (twinned && !local.empty()) local.Apply(dst);
       // Installing the received (or locally copied) unit is one memcpy.
       clock_.Advance(cost.TwinCost(unit_bytes_));
       if (remote) {

@@ -37,6 +37,7 @@
 #include "core/sync.h"
 #include "core/vector_clock.h"
 #include "core/write_notice.h"
+#include "mem/block_mask.h"
 #include "mem/global_heap.h"
 #include "mem/page_table.h"
 #include "mem/sharer_directory.h"
@@ -262,6 +263,17 @@ class Node {
   // load instead of two config reads.
   bool protocol_enabled() const { return protocol_enabled_; }
 
+  // Sets the written_ blocks of a write.  A unit written all over (every
+  // block set) takes one compare: element writes that sweep a unit reach
+  // that state within its first few dozen writes.
+  void MarkWritten(UnitId unit, std::size_t offset_in_unit,
+                   std::size_t bytes) {
+    std::uint64_t& written = written_[unit];
+    if (written == kAllBlocks) return;
+    written |= BlockMask(offset_in_unit / kWordBytes, bytes / kWordBytes,
+                         block_shift_);
+  }
+
   std::span<std::byte> UnitSpan(UnitId unit) {
     return {data_ + shared_.heap.UnitBase(unit), unit_bytes_};
   }
@@ -388,16 +400,11 @@ class Node {
   SharedState& shared_;
   const std::size_t unit_bytes_;
   const int unit_shift_;
+  const int block_shift_;  // BlockShift of the unit's word count
   const bool protocol_enabled_;
   // Home-based LRC backend active (protocol on + BackendKind::kHlrc):
   // releases flush to homes, faults fetch whole units, no archive GC.
   const bool hlrc_;
-  // HLRC clean-twin tracking on (hlrc_ && config.hlrc_skip_clean_diff_scan):
-  // writes compare against the image until a byte actually changes, letting
-  // the eager release-time diff scan short-circuit for value-identical
-  // writes (the diff would be empty).  Host-side only — the modelled diff
-  // cost and message counts are unchanged.
-  const bool twin_track_;
   // Per-word cost of a shared access, cached off the config for the
   // fast path.
   const VirtualNanos shared_access_cost_;
@@ -427,9 +434,13 @@ class Node {
   std::vector<std::uint8_t> retwin_cheap_;
   std::vector<std::atomic<std::uint8_t>> diff_requested_;
   std::vector<std::uint8_t> diff_request_seen_;
-  // Clean-twin flags (sized num_units only when twin_track_): 0 while the
-  // unit's bytes still equal its twin, 1 once a write changed anything.
-  std::vector<std::uint8_t> twin_dirty_;
+  // Written-since-twin block summary per unit (mem/block_mask.h): local
+  // writes set their blocks and TwinUnit clears the summary.  Every other
+  // path that changes a twinned unit writes the same bytes into the twin,
+  // so twin == image outside these blocks and the release-time twin scan
+  // (Diff::Create) skips them.  Host-side only: the modelled diff cost
+  // stays whole-unit.
+  std::vector<std::uint64_t> written_;
   // Last re-home batch epoch this node has learned
   // (SharedState::rehome_epoch).  A lagging node's next remote home
   // contact pays the modelled timeout + retransmit per missed batch and
@@ -560,10 +571,7 @@ inline void Node::WriteBytes(GlobalAddr addr, const void* in,
       tracker_.OnWrite(unit,
                        static_cast<std::uint32_t>(offset_in_unit / kWordBytes),
                        static_cast<std::uint32_t>(bytes / kWordBytes));
-      if (twin_track_ && twin_dirty_[unit] == 0 &&
-          std::memcmp(data_ + addr, in, bytes) != 0) {
-        twin_dirty_[unit] = 1;
-      }
+      MarkWritten(unit, offset_in_unit, bytes);
     }
     if (race_ != nullptr) [[unlikely]] {
       RaceOnAccess(unit, offset_in_unit, bytes, /*is_write=*/true);

@@ -1,6 +1,7 @@
 #include "mem/diff.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #if defined(__SSE2__)
@@ -65,45 +66,36 @@ inline bool AllWordsDiffer64(const std::byte* t, const std::byte* c) {
 #endif
 }
 
-}  // namespace
-
-Diff Diff::Create(std::span<const std::byte> twin,
-                  std::span<const std::byte> current) {
-  DSM_CHECK_EQ(twin.size(), current.size());
-  DSM_CHECK_EQ(twin.size() % kWordBytes, 0u);
-  const std::size_t num_words = twin.size() / kWordBytes;
-  const std::byte* tp = twin.data();
-  const std::byte* cp = current.data();
-
-  Diff diff;
-  diff.runs_.reserve(8);
-
-  // Pass 1: find the maximal runs of differing words, 64 bits at a time.
-  // Equal stretches skip a word pair per compare and escalate to whole
-  // cache lines (memcmp vectorizes) once 64 equal bytes are seen in a row,
-  // so dense regions never pay for failing wide probes; runs extend four
-  // words per iteration off two 64-bit XORs.
-  std::size_t i = 0;
+// Appends the maximal runs of differing words in [lo, hi) to `runs` and
+// returns the number of words they cover.  Equal stretches skip a word
+// pair per compare and escalate to whole cache lines (memcmp vectorizes)
+// once 64 equal bytes are seen in a row, so dense regions never pay for
+// failing wide probes; runs extend four words per iteration off two
+// 64-bit XORs.
+std::size_t ScanRuns(const std::byte* tp, const std::byte* cp,
+                     std::size_t lo, std::size_t hi,
+                     std::vector<DiffRun>& runs) {
+  std::size_t i = lo;
   std::size_t total_words = 0;
-  while (i < num_words) {
+  while (i < hi) {
     const std::size_t streak_base = i;
-    while (i + 2 <= num_words &&
+    while (i + 2 <= hi &&
            Load64(tp + i * kWordBytes) == Load64(cp + i * kWordBytes)) {
       i += 2;
       if (i - streak_base == 16) {  // long equal stretch: leap cache lines
-        while (i + 16 <= num_words &&
+        while (i + 16 <= hi &&
                std::memcmp(tp + i * kWordBytes, cp + i * kWordBytes, 64) ==
                    0) {
           i += 16;
         }
-        while (i + 2 <= num_words &&
+        while (i + 2 <= hi &&
                Load64(tp + i * kWordBytes) == Load64(cp + i * kWordBytes)) {
           i += 2;
         }
         break;
       }
     }
-    if (i >= num_words) break;
+    if (i >= hi) break;
     if (Load32(tp + i * kWordBytes) == Load32(cp + i * kWordBytes)) {
       ++i;  // second word of an unequal pair starts the run
       continue;
@@ -112,23 +104,57 @@ Diff Diff::Create(std::span<const std::byte> twin,
     ++i;
     // Extend a cache line at a time while every word in the block differs,
     // then pin the exact boundary word by word.
-    while (i + 16 <= num_words &&
+    while (i + 16 <= hi &&
            AllWordsDiffer64(tp + i * kWordBytes, cp + i * kWordBytes)) {
       i += 16;
     }
-    while (i + 2 <= num_words) {
+    while (i + 2 <= hi) {
       const std::uint64_t x =
           Load64(tp + i * kWordBytes) ^ Load64(cp + i * kWordBytes);
       if (ZeroLaneMask(x) != 0) break;  // conservative: word loop decides
       i += 2;
     }
-    while (i < num_words &&
+    while (i < hi &&
            Load32(tp + i * kWordBytes) != Load32(cp + i * kWordBytes)) {
       ++i;
     }
-    diff.runs_.push_back({static_cast<std::uint32_t>(run_start),
-                          static_cast<std::uint32_t>(i - run_start)});
+    runs.push_back({static_cast<std::uint32_t>(run_start),
+                    static_cast<std::uint32_t>(i - run_start)});
     total_words += i - run_start;
+  }
+  return total_words;
+}
+
+}  // namespace
+
+Diff Diff::Create(std::span<const std::byte> twin,
+                  std::span<const std::byte> current,
+                  std::uint64_t written_blocks) {
+  DSM_CHECK_EQ(twin.size(), current.size());
+  DSM_CHECK_EQ(twin.size() % kWordBytes, 0u);
+  const std::size_t num_words = twin.size() / kWordBytes;
+  const std::byte* tp = twin.data();
+  const std::byte* cp = current.data();
+  const int shift = BlockShift(num_words);
+
+  Diff diff;
+  diff.runs_.reserve(8);
+
+  // Pass 1: scan each maximal run of written blocks.  Twin and current
+  // agree outside them, so no diff run spans two block runs and the
+  // result is the full scan's canonical run list.
+  std::size_t total_words = 0;
+  std::uint64_t todo = written_blocks;
+  while (todo != 0) {
+    const auto first = static_cast<unsigned>(std::countr_zero(todo));
+    const unsigned end_block =
+        first + static_cast<unsigned>(std::countr_one(todo >> first));
+    const std::size_t lo = std::size_t{first} << shift;
+    if (lo >= num_words) break;  // bits past a partial unit's last block
+    const std::size_t hi =
+        std::min(num_words, std::size_t{end_block} << shift);
+    total_words += ScanRuns(tp, cp, lo, hi, diff.runs_);
+    todo = end_block >= 64 ? 0 : todo & (kAllBlocks << end_block);
   }
 
   // Pass 2: one exact payload allocation, bulk-copied run by run.
@@ -138,6 +164,8 @@ Diff Diff::Create(std::span<const std::byte> twin,
     diff.payload_.insert(diff.payload_.end(), src,
                          src + std::size_t{run.word_count} * kWordBytes);
   }
+  DSM_DCHECK(written_blocks == kAllBlocks ||
+             diff == Create(twin, current, kAllBlocks));
   return diff;
 }
 

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "mem/block_mask.h"
 #include "mem/types.h"
 
 namespace dsm {
@@ -21,6 +22,8 @@ namespace dsm {
 struct DiffRun {
   std::uint32_t word_offset;  // first modified word, relative to unit base
   std::uint32_t word_count;   // number of consecutive modified words
+
+  bool operator==(const DiffRun&) const = default;
 };
 
 class Diff {
@@ -29,8 +32,13 @@ class Diff {
 
   // Word-compare `twin` against `current` (both unit-sized, same length,
   // length a multiple of kWordBytes) and record the words that differ.
+  // Only the blocks set in `written_blocks` (mem/block_mask.h) are
+  // scanned: the caller guarantees that twin and current are equal in
+  // every other block (Debug builds check the result against a full
+  // scan).  The default scans the whole unit.
   static Diff Create(std::span<const std::byte> twin,
-                     std::span<const std::byte> current);
+                     std::span<const std::byte> current,
+                     std::uint64_t written_blocks = kAllBlocks);
 
   // Scatter the recorded words into `dst` (a unit-sized buffer).
   void Apply(std::span<std::byte> dst) const;
@@ -71,6 +79,9 @@ class Diff {
   const std::vector<std::byte>& payload() const { return payload_; }
   // Payload word `i` in run-major order (testing/inspection).
   std::uint32_t payload_word(std::size_t i) const;
+
+  // Same runs and payload.
+  bool operator==(const Diff&) const = default;
 
   static constexpr std::size_t kHeaderBytes = 16;
   static constexpr std::size_t kRunDescriptorBytes = 8;

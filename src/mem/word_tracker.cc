@@ -4,8 +4,10 @@ namespace dsm {
 
 WordTracker::WordTracker(std::size_t num_units, std::size_t words_per_unit)
     : words_per_unit_(words_per_unit),
+      block_shift_(BlockShift(words_per_unit)),
       units_(num_units),
-      fresh_(num_units, 0) {}
+      fresh_(num_units, 0),
+      maybe_fresh_(num_units, 0) {}
 
 std::uint32_t* WordTracker::AllocateUnit(UnitId unit) {
   // make_unique<T[]> value-initializes: every tag starts at 0 (not fresh).

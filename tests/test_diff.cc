@@ -2,6 +2,7 @@
 // diff is the integrity-critical core of the multiple-writer protocol).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -365,6 +366,76 @@ TEST_P(DiffPropertyTest, MergeRunsMatchesMergeRunStructure) {
     EXPECT_EQ(runs[i].word_count, merged.runs()[i].word_count) << i;
   }
   EXPECT_EQ(Diff::RunWords(runs), merged.payload_words());
+}
+
+// Bounded scan: Create restricted to a block mask equals the full scan
+// whenever twin and current agree outside the masked blocks — the
+// invariant the written-since-twin summary maintains.  Sizes include
+// non-multiples of 64 words (partial last block, and block sizes that do
+// not divide the unit); masks include all-ones, empty, sparse and
+// contiguous, and bits past the last block.
+TEST_P(DiffPropertyTest, BoundedCreateEqualsFullCreate) {
+  Xoshiro256 rng(GetParam() ^ 0xb10c);
+  for (int round = 0; round < 40; ++round) {
+    std::size_t words = 1 + rng.UniformInt(5000);
+    if (round == 0) words = 4096;  // 16K unit: 64-word blocks
+    if (round == 1) words = 1024;  // 4K unit: 16-word blocks
+    if (round == 2) words = 4000;  // 63 blocks of 64 words, one partial
+    if (round == 3) words = 130;   // 4-word blocks, last block partial
+    const int shift = BlockShift(words);
+    const std::size_t num_blocks = ((words - 1) >> shift) + 1;
+    ASSERT_LE(num_blocks, 64u) << words;
+
+    std::uint64_t mask = 0;
+    switch (round % 4) {
+      case 0: mask = kAllBlocks; break;
+      case 1: mask = 0; break;
+      case 2:  // sparse
+        for (int k = 0; k < 4; ++k) {
+          mask |= std::uint64_t{1} << rng.UniformInt(num_blocks);
+        }
+        break;
+      default: {  // one contiguous stretch of blocks
+        const std::size_t lo = rng.UniformInt(num_blocks);
+        const std::size_t len = 1 + rng.UniformInt(num_blocks - lo);
+        mask = BlockMask(lo << shift, len << shift, shift);
+        break;
+      }
+    }
+
+    std::vector<std::uint32_t> twin_w(words), cur_w(words);
+    for (std::size_t i = 0; i < words; ++i) {
+      twin_w[i] = static_cast<std::uint32_t>(rng.Next());
+      const bool in_mask = (mask >> (i >> shift) & 1) != 0;
+      cur_w[i] = in_mask && rng.UniformDouble() < 0.3 ? twin_w[i] + 1
+                                                      : twin_w[i];
+    }
+    // Diffs that touch a masked block's first and last words: runs that
+    // end exactly on a block boundary must not merge across a gap.
+    if (mask != 0) {
+      const std::size_t b = static_cast<std::size_t>(std::countr_zero(mask));
+      const std::size_t lo = b << shift;
+      if (lo < words) {
+        cur_w[lo] = twin_w[lo] + 5;
+        const std::size_t hi = std::min(words, (b + 1) << shift) - 1;
+        cur_w[hi] = twin_w[hi] + 5;
+      }
+    }
+    const auto twin = Bytes(twin_w), cur = Bytes(cur_w);
+    const Diff full = Diff::Create(twin, cur);
+    const Diff bounded = Diff::Create(twin, cur, mask);
+    ASSERT_EQ(bounded.runs(), full.runs())
+        << "words " << words << " mask " << std::hex << mask;
+    ASSERT_EQ(bounded.payload(), full.payload()) << "words " << words;
+    // Bits past the unit's last block are harmless.
+    if (num_blocks < 64) {
+      EXPECT_EQ(Diff::Create(twin, cur, mask | (kAllBlocks << num_blocks)),
+                full);
+    }
+    if (mask == 0) {
+      EXPECT_TRUE(bounded.empty());
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffPropertyTest,

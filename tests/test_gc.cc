@@ -541,62 +541,60 @@ TEST(GcBoundedArchive, MgsPeakLiveIntervalsDoNotScaleWithBarriers) {
   EXPECT_LT(on.peak_archive_bytes, off.peak_archive_bytes / 4);
 }
 
-// --- HLRC clean-twin skip ----------------------------------------------------
+// --- HLRC value-identical rewrites -------------------------------------------
 //
-// hlrc_skip_clean_diff_scan is a host-side fast path: when a twin is
-// known clean (every write since TwinUnit restored the twin's value),
-// the flush and fetch paths skip the word-by-word diff scan but must
-// still charge the exact modelled costs of the scan they skipped.  A/B
-// the knob on a program that mixes value-identical rewrites (unit 0 —
-// clean twin every epoch after the first) with genuinely-changing writes
-// (unit 1): results and every modelled quantity must be bit-identical.
-TEST(HlrcCleanTwin, SkipKnobIsBitInvisible) {
-  auto run = [](bool skip) {
-    RuntimeConfig cfg;
-    cfg.num_procs = 4;
-    cfg.backend = BackendKind::kHlrc;
-    cfg.heap_bytes = 1u << 20;
-    cfg.hlrc_skip_clean_diff_scan = skip;
-    constexpr int kEpochs = 8;
+// The release-time twin scan is bounded by the written-block summary, but
+// it still compares values: a unit rewritten with the values it already
+// held yields an empty diff.  The release is charged the eager scan
+// (diffs_created) for it, yet ships nothing to the unit's remote home.
+// Unit A is rewritten identically every epoch after the first; unit B
+// changes one word every epoch.  Neither unit is homed at the writer.
+TEST(HlrcIdenticalRewrite, ChargesScanButFlushesNothing) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 4;
+  cfg.backend = BackendKind::kHlrc;
+  cfg.heap_bytes = 1u << 20;
+  constexpr int kEpochs = 8;
+  constexpr std::size_t kUnitInts = 1024;  // 4K units
 
-    Runtime rt(cfg);
-    auto data = rt.AllocUnitAligned<int>(2048, "data");  // two 4K units
-    std::vector<int> seen;
-    std::mutex mu;
-    rt.Run([&](Proc& p) {
-      std::vector<int> got;
-      for (int e = 0; e < kEpochs; ++e) {
-        if (p.id() == 0) {
-          // Unit 0: value-identical rewrites — the twin ends each epoch
-          // clean, yet the flush must charge the full scan accounting.
-          for (std::size_t i = 0; i < 8; ++i) {
-            p.Write(data, i, 7 * static_cast<int>(i));
-          }
-          // Unit 1: a word that really changes — the dirty path.
-          p.Write(data, 1024, e * 10);
+  Runtime rt(cfg);
+  auto data = rt.AllocUnitAligned<int>(3 * kUnitInts, "data");
+  const std::size_t unit_a = data.addr_of(0) / cfg.unit_bytes();
+  // Homes are unit-interleaved: A's home is unit_a % 4 and B (two units
+  // on) is homed two procs further, so the writer homes neither.
+  const int writer = static_cast<int>((unit_a + 1) % 4);
+  const int reader = static_cast<int>((unit_a + 3) % 4);
+  const std::size_t b = 2 * kUnitInts;
+  std::vector<int> seen;
+  rt.Run([&](Proc& p) {
+    for (int e = 0; e < kEpochs; ++e) {
+      if (p.id() == writer) {
+        for (std::size_t i = 0; i < 8; ++i) {
+          p.Write(data, i, 7 * static_cast<int>(i));
         }
-        p.Barrier();
-        if (p.id() == 1) {
-          got.push_back(p.Read(data, 0));
-          got.push_back(p.Read(data, 1024));
-        }
-        p.Barrier();
+        p.Write(data, b, 10 * e + 1);
       }
-      if (p.id() == 1) {
-        std::lock_guard lock(mu);
-        seen = std::move(got);
+      p.Barrier();
+      if (p.id() == reader) {
+        for (std::size_t i = 0; i < 8; ++i) seen.push_back(p.Read(data, i));
+        seen.push_back(p.Read(data, b));
       }
-    });
-    return std::make_pair(std::move(seen), rt.CollectStats());
-  };
+      p.Barrier();
+    }
+  });
 
-  const auto [values_on, stats_on] = run(true);
-  const auto [values_off, stats_off] = run(false);
-  ASSERT_EQ(values_on.size(), 16u);
-  EXPECT_EQ(values_on, values_off);
-  EXPECT_EQ(values_on[1], 0);
-  EXPECT_EQ(values_on[15], 70);
-  ExpectModelledStateEqual(stats_on, stats_off, "clean-twin skip");
+  ASSERT_EQ(seen.size(), 9u * kEpochs);
+  for (int e = 0; e < kEpochs; ++e) {
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(seen[9 * e + i], 7 * i) << e;
+    EXPECT_EQ(seen[9 * e + 8], 10 * e + 1) << e;
+  }
+  const RunStats stats = rt.CollectStats();
+  // Every release scans both dirty units ...
+  EXPECT_EQ(stats.comm.diffs_created, 2u * kEpochs);
+  // ... but A reaches its home only in epoch 0 (words 1..7 changed from
+  // zero), and B in every epoch with its one changed word.
+  EXPECT_EQ(stats.comm.home_flushes, kEpochs + 1u);
+  EXPECT_EQ(stats.comm.home_flush_bytes, (7u + kEpochs) * kWordBytes);
 }
 
 // --- recovery telemetry back-compat ------------------------------------------

@@ -460,6 +460,170 @@ TEST(WordTracker, RunDeliveryMatchesPerWordModel) {
   }
 }
 
+// --- block summary against the per-word model --------------------------------
+
+// Seeded random spans against the per-word model at both summary
+// geometries the simulator uses (64 words = one word per block, 4096 words
+// = 64 words per block).  Deliveries (single runs, and a diff's run list
+// in one DeliverRuns call) and accesses straddle block boundaries, cover
+// partial blocks, exhaust the unit (whole-unit reads and writes) and
+// redeliver after exhaustion; per-element accesses (1 or 2 words)
+// exercise the exact path.  After every step the credit sequence
+// (hence the credits per message) and every fresh count must equal the
+// model's, and a clear summary bit must mean no live tag in its block.
+TEST(WordTracker, BlockSummaryMatchesPerWordModel) {
+  constexpr std::size_t kUnits = 2;
+  for (const std::uint32_t words : {64u, 4096u}) {
+    const std::uint32_t block = words / 64;
+    const int shift = BlockShift(words);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(testing::Message() << words << " words, seed " << seed);
+      Xoshiro256 rng(seed * 977 + words);
+      WordTracker tracker(kUnits, words);
+      WordTrackerModel model(kUnits, words);
+      std::vector<std::uint32_t> got, want;
+      int straddles = 0, partials = 0, exhaustions = 0, redeliveries = 0;
+      int multi_run_deliveries = 0;
+      std::vector<bool> exhausted(kUnits, false);
+
+      // A span of one of several shapes: per-element, inside one block,
+      // straddling a block boundary, or long.
+      auto span = [&](std::uint32_t& first, std::uint32_t& count) {
+        switch (rng.UniformInt(4)) {
+          case 0:
+            first = static_cast<std::uint32_t>(rng.UniformInt(words - 1));
+            count = 1 + static_cast<std::uint32_t>(rng.UniformInt(2));
+            break;
+          case 1: {  // partial block, strictly inside one block
+            const auto b = static_cast<std::uint32_t>(rng.UniformInt(64));
+            first = b * block + static_cast<std::uint32_t>(
+                                    rng.UniformInt(std::max(1u, block / 2)));
+            count = 1 + static_cast<std::uint32_t>(
+                            rng.UniformInt(b * block + block - first));
+            break;
+          }
+          case 2: {  // straddles at least one boundary, partial at both ends
+            const auto b = 1 + static_cast<std::uint32_t>(rng.UniformInt(63));
+            first = b * block - 1 -
+                    static_cast<std::uint32_t>(rng.UniformInt(block));
+            const std::uint32_t end =
+                std::min<std::uint32_t>(
+                    words, b * block + 1 + static_cast<std::uint32_t>(
+                                               rng.UniformInt(3 * block)));
+            count = end - first;
+            break;
+          }
+          default:
+            first = static_cast<std::uint32_t>(rng.UniformInt(words));
+            count = 1 + static_cast<std::uint32_t>(
+                            rng.UniformInt(words - first));
+            break;
+        }
+      };
+
+      for (std::uint32_t step = 0; step < 300; ++step) {
+        const auto unit = static_cast<UnitId>(rng.UniformInt(kUnits));
+        if (exhausted[unit]) ++redeliveries;
+        exhausted[unit] = false;
+        if (rng.UniformInt(4) == 0) {
+          // One diff's runs in one call: sorted, disjoint, non-adjacent.
+          std::vector<DiffRun> runs;
+          auto at = static_cast<std::uint32_t>(rng.UniformInt(2 * block));
+          while (at < words && runs.size() < 6) {
+            const auto count = 1 + static_cast<std::uint32_t>(rng.UniformInt(
+                                       std::min(2 * block, words - at)));
+            runs.push_back({at, count});
+            model.Deliver(unit, at, count, step);
+            at += count + 1 +
+                  static_cast<std::uint32_t>(rng.UniformInt(3 * block));
+          }
+          tracker.DeliverRuns(unit, runs, step);
+          ++multi_run_deliveries;
+        } else {
+          std::uint32_t first = 0, count = 0;
+          span(first, count);
+          tracker.Deliver(unit, first, count, step);
+          model.Deliver(unit, first, count, step);
+        }
+
+        for (int k = 0; k < 3; ++k) {
+          const auto local = static_cast<UnitId>(rng.UniformInt(kUnits));
+          std::uint32_t at = 0, len = words;  // 1 in 8: the whole unit
+          if (rng.UniformInt(8) != 0) span(at, len);
+          if (len > 2 &&
+              BlockMask(at, len, shift) != BlockMask(at, 1, shift)) {
+            ++straddles;
+          }
+          if (len > 2 && (at % block != 0 || (at + len) % block != 0)) {
+            ++partials;
+          }
+          const bool had_fresh = model.Fresh(local) > 0;
+          if (rng.UniformInt(2) == 0) {
+            tracker.OnRead(local, at, len,
+                           [&](std::uint32_t m) { got.push_back(m); });
+            model.OnRead(local, at, len, want);
+          } else {
+            tracker.OnWrite(local, at, len);
+            model.OnWrite(local, at, len);
+          }
+          if (had_fresh && model.Fresh(local) == 0) {
+            ++exhaustions;
+            exhausted[local] = true;
+          }
+        }
+
+        ASSERT_EQ(got, want) << "step " << step;
+        for (UnitId u = 0; u < kUnits; ++u) {
+          ASSERT_EQ(tracker.fresh_count(u), model.Fresh(u))
+              << "step " << step << " unit " << u;
+          const std::uint64_t summary = tracker.maybe_fresh_blocks(u);
+          if (model.Fresh(u) == 0) {
+            ASSERT_EQ(summary, 0u) << "step " << step << " unit " << u;
+          }
+          for (std::uint32_t w = 0; w < words; ++w) {
+            ASSERT_EQ(tracker.Tag(u, w), model.tags[u][w])
+                << "step " << step << " unit " << u << " word " << w;
+            if ((summary >> (w / block) & 1) == 0) {
+              ASSERT_EQ(model.tags[u][w], 0u)
+                  << "clear block holds a live tag: step " << step
+                  << " unit " << u << " word " << w;
+            }
+          }
+        }
+      }
+      // Each boundary case above was actually exercised.
+      EXPECT_GT(straddles, 0);
+      if (block > 1) {
+        EXPECT_GT(partials, 0);
+      }
+      EXPECT_GT(exhaustions, 0);
+      EXPECT_GT(redeliveries, 0);
+      EXPECT_GT(multi_run_deliveries, 0);
+    }
+  }
+}
+
+// The MGS shape at 16K: three foreign rows delivered, the owner sweeps its
+// own row.  The summary proves the own row tag-free, so the sweep credits
+// nothing and leaves the foreign rows' blocks (and tags) alone.
+TEST(WordTracker, OwnRowSweepSkipsForeignRowBlocks) {
+  constexpr std::uint32_t kWords = 4096, kRow = 1024;
+  WordTracker tracker(1, kWords);
+  for (std::uint32_t r = 1; r < 4; ++r) tracker.Deliver(0, r * kRow, kRow, r);
+  const int shift = BlockShift(kWords);
+  EXPECT_EQ(tracker.maybe_fresh_blocks(0), BlockMask(kRow, 3 * kRow, shift));
+  int credits = 0;
+  tracker.OnRead(0, 0, kRow, [&](std::uint32_t) { ++credits; });
+  tracker.OnWrite(0, 0, kRow);
+  EXPECT_EQ(credits, 0);
+  EXPECT_EQ(tracker.fresh_count(0), 3 * kRow);
+  // Reading one foreign row whole clears exactly its 16 blocks.
+  tracker.OnRead(0, kRow, kRow, [&](std::uint32_t) { ++credits; });
+  EXPECT_EQ(credits, static_cast<int>(kRow));
+  EXPECT_EQ(tracker.maybe_fresh_blocks(0),
+            BlockMask(2 * kRow, 2 * kRow, shift));
+}
+
 // --- core primitives ----------------------------------------------------------
 
 TEST(VectorClockTest, MergeTakesElementwiseMax) {
