@@ -354,8 +354,35 @@ Row RunCell(const BenchScenario& s, const ModePoint& mode,
   return row;
 }
 
+// Modelled state a stable row must reproduce bit for bit under
+// --baseline: the fingerprint, the modelled time, and the archive-GC
+// footprint.  ModelledValues formats a row's values exactly as WriteJson
+// writes them, so the gate compares text, not re-parsed doubles.  The
+// archive peaks (peak_live_intervals, peak_archive_bytes) are left out:
+// each node prunes its own archive after the barrier window, while peers
+// may already be appending their next intervals, so the peaks follow
+// host scheduling (two back-to-back sweeps differ on the Barnes LRC rows).
+constexpr const char* kModelledKeys[] = {
+    "fingerprint", "modelled_ms",  "reclaimed_intervals",
+    "canonical_base_bytes", "gc_passes", "chains_built", "chains_shared"};
+
+std::vector<std::string> ModelledValues(const Row& r) {
+  char fp[24], ms[48];
+  std::snprintf(fp, sizeof(fp), "%016llx",
+                static_cast<unsigned long long>(r.fingerprint));
+  std::snprintf(ms, sizeof(ms), "%.6f", r.modelled_ms);
+  return {fp,
+          ms,
+          std::to_string(r.mem.reclaimed_intervals),
+          std::to_string(r.mem.canonical_base_peak_bytes),
+          std::to_string(r.mem.gc_passes),
+          std::to_string(r.mem.chains_built),
+          std::to_string(r.mem.chains_shared)};
+}
+
 // Minimal reader for the JSON this binary itself writes (one row object
-// per line): extracts (app, dataset, mode, stable, wall_ms) per row.
+// per line): extracts the row key, stable, wall_ms, the result, and the
+// kModelledKeys values per row.
 struct BaselineRow {
   std::string app, dataset, mode, backend;
   std::string fault;  // absent in pre-fault baselines → ""
@@ -368,6 +395,8 @@ struct BaselineRow {
   // noisy, but the commuting checksum must never move.
   double result = 0;
   bool has_result = false;
+  // Raw JSON text of each kModelledKeys field ("" when absent).
+  std::vector<std::string> modelled;
 };
 
 std::vector<BaselineRow> ReadBaseline(const std::string& path) {
@@ -410,20 +439,32 @@ std::vector<BaselineRow> ReadBaseline(const std::string& path) {
       r.result = std::atof(res + 10);
       r.has_result = true;
     }
+    for (const char* key : kModelledKeys) {
+      char tag[48];
+      std::snprintf(tag, sizeof(tag), "\"%s\": ", key);
+      const char* v = std::strstr(line, tag);
+      std::string text;
+      if (v != nullptr) {
+        v += std::strlen(tag);
+        if (*v == '"') ++v;
+        text.assign(v, v + std::strcspn(v, "\",}"));
+      }
+      r.modelled.push_back(std::move(text));
+    }
     if (!r.app.empty()) rows.push_back(std::move(r));
   }
   std::fclose(f);
   return rows;
 }
 
-// Gate: every stable row's host wall-clock must stay within
-// `tolerance` (fractional) of the committed baseline.  Unstable rows
-// (lock programs) and rows missing from the baseline are reported but
-// never gate on wall-clock — but KV rows gate on their CHECKSUM instead:
-// the commuting-checksum construction makes the result exact under any
-// lock schedule, so a moved KV result is a correctness regression even
-// though the row's host time is free to drift.  Returns the number of
-// regressions.
+// Gate: every stable row's modelled state (kModelledKeys) must match the
+// committed baseline exactly, and its host wall-clock must stay within
+// `tolerance` (fractional) of it.  Unstable rows (lock programs) and rows
+// missing from the baseline are reported but never gate — but KV rows
+// gate on their CHECKSUM instead: the commuting-checksum construction
+// makes the result exact under any lock schedule, so a moved KV result is
+// a correctness regression even though the row's host time is free to
+// drift.  Returns the number of regressions.
 int CompareToBaseline(const std::vector<Row>& rows,
                       const std::vector<BaselineRow>& baseline,
                       double tolerance) {
@@ -453,8 +494,27 @@ int CompareToBaseline(const std::vector<Row>& rows,
           r.backend.c_str(), r.procs, base->result, r.result);
       continue;
     }
-    const double ratio = base->wall_ms > 0 ? r.wall_ms / base->wall_ms : 1.0;
     const bool gated = r.stable && base->stable;
+    if (gated) {
+      const std::vector<std::string> now = ModelledValues(r);
+      bool moved = false;
+      for (std::size_t k = 0; k < now.size(); ++k) {
+        const std::string& was = base->modelled[k];
+        if (was.empty() || was == now[k]) continue;
+        moved = true;
+        std::printf(
+            "baseline: %-8s %-10s %-4s %-4s p%-3d %s %s -> %s"
+            "  MODELLED-STATE REGRESSION\n",
+            r.app.c_str(), r.dataset.c_str(), r.mode.c_str(),
+            r.backend.c_str(), r.procs, kModelledKeys[k], was.c_str(),
+            now[k].c_str());
+      }
+      if (moved) {
+        ++regressions;
+        continue;
+      }
+    }
+    const double ratio = base->wall_ms > 0 ? r.wall_ms / base->wall_ms : 1.0;
     const bool regressed = gated && ratio > 1.0 + tolerance;
     if (regressed) ++regressions;
     if (regressed || ratio > 1.0 + tolerance) {
@@ -468,8 +528,10 @@ int CompareToBaseline(const std::vector<Row>& rows,
     }
   }
   if (regressions > 0) {
-    std::printf("baseline gate FAILED: %d stable row(s) regressed >%.0f%%\n",
-                regressions, tolerance * 100);
+    std::printf(
+        "baseline gate FAILED: %d row(s) moved modelled state or regressed "
+        ">%.0f%%\n",
+        regressions, tolerance * 100);
   } else {
     std::printf("baseline gate passed (tolerance %.0f%%)\n",
                 tolerance * 100);
@@ -577,8 +639,9 @@ int main(int argc, char** argv) {
       explicit_out = true;
     } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
       // CI gate (see .github/workflows/ci.yml Release job): compare this
-      // sweep's host wall-clock against the committed BENCH_wallclock.json
-      // and exit non-zero if any STABLE row regressed more than 25% — the
+      // sweep against the committed BENCH_wallclock.json and exit non-zero
+      // if any STABLE row's modelled state (fingerprint, modelled_ms, GC
+      // footprint) moved or its host wall-clock regressed more than 25% — the
       // Water-class "GC quietly costs half the wall-clock" regressions get
       // caught by the unstable-row report lines even though locks keep
       // those rows from gating hard.

@@ -38,29 +38,6 @@ enum class BackendKind {
   kHlrc,
 };
 
-// Archive-GC pass sizing policy: dominated-record count at or below which
-// a pass runs serially on proc 0 instead of striping across the idle
-// nodes (see Node::Barrier).  Striping conserves work — it only buys
-// wall-clock when the stripe workers run on real cores — so the threshold
-// scales inversely with host parallelism: on a single core striping is
-// pure rendezvous overhead (forced serial), with unknown concurrency (0)
-// the historical fixed threshold is kept, and on wide hosts even light
-// passes are worth spreading.  Pure function of the argument so tests pin
-// the policy; modelled state is bit-identical either way (DESIGN.md §6),
-// which is what makes a host-dependent switch legal at all.
-std::size_t GcSerialPassLimit(unsigned hardware_threads);
-
-// Archive-GC pass execution mode.  kAuto applies GcSerialPassLimit to
-// the host's hardware concurrency; the force modes exist so the
-// serial/striped bit-equivalence can be exercised on ANY host (a test
-// that only runs whichever mode the local core count selects would let
-// a divergence ship undetected).
-enum class GcPassMode {
-  kAuto,
-  kForceSerial,
-  kForceStriped,
-};
-
 // ---------------------------------------------------------------------------
 // Deterministic fault injection (DESIGN.md §9).
 // ---------------------------------------------------------------------------
@@ -87,7 +64,7 @@ struct FaultPlan {
   FaultKind kind = FaultKind::kNone;
   // Victim processor id.  Negative → derived deterministically from `seed`
   // at Runtime construction, uniform over ALL processors — proc 0
-  // included; a proc-0 crash migrates the coordinator roles (serial GC,
+  // included; a proc-0 crash migrates the coordinator roles (archive GC,
   // HLRC watermark prune, barrier-manager cost asymmetry) to the lowest
   // surviving rank for the crash barrier and back on rebuild.
   int victim = -1;
@@ -175,17 +152,14 @@ struct RuntimeConfig {
   int max_group_pages = 4;
 
   // Archive garbage collection (DESIGN.md §6): every N-th global barrier,
-  // flatten all intervals dominated by the flatten target (below) into
-  // canonical base images and reclaim the records.  A host-side
-  // optimization — modelled times, statistics, and results are
+  // the barrier coordinator flattens all intervals dominated by the
+  // flatten target (below) into canonical base images in one serial pass
+  // inside the barrier's idle window, and the records are reclaimed.  A
+  // host-side optimization — modelled times, statistics, and results are
   // bit-identical for any setting, for every program at a fixed
   // lock-grant order.  0 disables GC (the archive-everything behavior,
   // kept reachable for A/B testing).
   int gc_interval_barriers = 1;
-
-  // Archive-GC pass sizing: auto (hardware-concurrency-scaled serial
-  // threshold) or forced serial/striped — see GcPassMode.
-  GcPassMode gc_pass_mode = GcPassMode::kAuto;
 
   // Flatten target age: collect only intervals dominated by the global
   // vector clock from this many barriers ago (minimum 1 — the youngest

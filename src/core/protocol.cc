@@ -1,9 +1,7 @@
 #include "core/protocol.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "analysis/race_detector.h"
@@ -21,18 +19,6 @@ const RuntimeConfig& Validated(const RuntimeConfig& cfg) {
 }
 
 }  // namespace
-
-std::size_t GcSerialPassLimit(unsigned hardware_threads) {
-  if (hardware_threads == 0) return 1024;  // unknown: historical default
-  if (hardware_threads == 1) {
-    return std::numeric_limits<std::size_t>::max();  // striping buys nothing
-  }
-  // Wider hosts amortize the stripe rendezvous over more real cores, so
-  // progressively lighter passes are worth spreading; the 4-thread point
-  // reproduces the historical fixed threshold, and the floor keeps truly
-  // trivial passes (a handful of records) serial on any machine.
-  return std::max<std::size_t>(4096 / hardware_threads, 64);
-}
 
 const char* RuntimeConfig::UnitLabel() const {
   if (aggregation == AggregationMode::kDynamic) return "Dyn";
@@ -89,18 +75,6 @@ SharedState::SharedState(const RuntimeConfig& cfg)
     home_image.reset(new std::byte[heap.heap_bytes()]());
     home_mutexes.reset(new std::mutex[heap.num_units()]);
   }
-  switch (cfg.gc_pass_mode) {
-    case GcPassMode::kForceSerial:
-      gc_serial_pass_limit = std::numeric_limits<std::size_t>::max();
-      break;
-    case GcPassMode::kForceStriped:
-      gc_serial_pass_limit = 0;  // every non-empty pass stripes
-      break;
-    case GcPassMode::kAuto:
-      gc_serial_pass_limit =
-          GcSerialPassLimit(std::thread::hardware_concurrency());
-      break;
-  }
   archives.reserve(cfg.num_procs);
   for (int p = 0; p < cfg.num_procs; ++p) {
     archives.push_back(std::make_unique<IntervalArchive>());
@@ -122,9 +96,6 @@ SharedState::SharedState(const RuntimeConfig& cfg)
       std::make_unique<CanonicalStore>(heap.num_units(), heap.unit_bytes());
   sharers = std::make_unique<SharerDirectory>(heap.num_units(), cfg.num_procs);
   virgin_history.resize(heap.num_units());
-  gc_dom_prefix.resize(cfg.num_procs);
-  gc_dom_ready = std::vector<std::atomic<std::uint8_t>>(cfg.num_procs);
-  for (auto& r : gc_dom_ready) r.store(0, std::memory_order_relaxed);
 }
 
 SharedState::~SharedState() = default;
@@ -933,19 +904,18 @@ VirtualNanos Node::HlrcChargeRehomeLearning(std::size_t request_bytes) {
           shared_.config.cost.request_service_overhead);
 }
 
-// Flatten phase (pass 1 of DESIGN.md §6), striped: this node converts the
-// dominated pending notices of EVERY node for the units of its stripe
-// (unit % nprocs == id) into FlattenedChains, mirroring the fault path's
-// chain coalescing exactly (same absorption predicate over the same
-// record set — live records from later epochs can never block a dominated
-// absorption, because they happened-after every dominated interval).  It
-// also collects the (record, diff) pairs some node still needed into
+// Flatten phase (pass 1 of DESIGN.md §6): the barrier coordinator
+// converts the dominated pending notices of EVERY node for every unit
+// into FlattenedChains, mirroring the fault path's chain coalescing
+// exactly (same absorption predicate over the same record set — live
+// records from later epochs can never block a dominated absorption,
+// because they happened-after every dominated interval).  It also
+// collects the (record, diff) pairs some node still needed into
 // gc_refs_: only those must go into the canonical base — an interval
 // pending nowhere was already applied by every node, and any word of it
 // that a future chain covers is rewritten there by a newer record of that
-// chain.  Striping keeps the pass deterministic (each unit has exactly
-// one worker, which walks nodes in fixed order) while spreading the work
-// over the idle window's threads instead of serializing it on proc 0.
+// chain.  The pass is serial and walks units ascending and nodes in fixed
+// order, so the build (telemetry included) is bit-deterministic.
 //
 // Shared flattened chains keep lock-heavy programs (Water) cheap: one
 // reclaimed record is typically pending at most of the other nodes, and
@@ -953,134 +923,322 @@ VirtualNanos Node::HlrcChargeRehomeLearning(std::size_t request_bytes) {
 // dominated record lists coincide.  An intern cache keyed on exactly
 // those inputs builds each chain set once and hands out cheap headers
 // over shared ChainBodies; per-node builds remain only where pending sets
-// diverge.  All sharing for a unit happens inside its one worker, so the
-// cache is worker-local and the build (including the telemetry) is
-// bit-deterministic.
-void Node::GcFlattenStripe(const VectorClock& through, int start,
-                           int step) {
-  SharedState& shared = shared_;
-  const int nprocs = shared.config.num_procs;
-  const std::size_t num_units = shared.heap.num_units();
-
-  // Snapshot each archive's dominated prefix once (one mutex hold per
-  // archive): lock-heavy programs resolve tens of thousands of (proc,
-  // seq) references per pass, and per-reference Find() would pay a mutex
-  // round-trip each.  The snapshot is a lock-free binary-search index.
-  // Shared dominated-prefix snapshots, built once per archive per pass by
-  // the first worker that needs one.
-  auto dom_prefix_of =
-      [&shared, &through](
-          ProcId p) -> const std::vector<std::shared_ptr<const IntervalRecord>>& {
-    if (shared.gc_dom_ready[p].load(std::memory_order_acquire) == 0) {
-      std::lock_guard lock(shared.gc_snapshot_mutex);
-      if (shared.gc_dom_ready[p].load(std::memory_order_relaxed) == 0) {
-        shared.gc_dom_prefix[p] =
-            shared.archives[p]->RangeShared(0, through[p]);
-        shared.gc_dom_ready[p].store(1, std::memory_order_release);
-      }
-    }
-    return shared.gc_dom_prefix[p];
-  };
-  auto find_dominated =
-      [&](ProcId p, Seq seq) -> const std::shared_ptr<const IntervalRecord>* {
-    const auto& v = dom_prefix_of(p);
-    auto it = std::lower_bound(
-        v.begin(), v.end(), seq,
-        [](const std::shared_ptr<const IntervalRecord>& r, Seq s) {
-          return r->seq < s;
-        });
-    DSM_CHECK(it != v.end() && (*it)->seq == seq)
-        << "GC: missing interval (" << p << "," << seq << ")";
-    return &*it;
-  };
-
+// diverge.
+//
+// Per unit the pass runs its named phases: RetireVirginWriters, then per
+// node Split (dominated/live split and record resolution), and either
+// AdoptCached (an intern-cache hit) or Extend (the chain build).  The
+// shared virgin store and the per-node path use the same Split and
+// Extend.
+struct Node::GcPass {
   struct Resolved {
     const IntervalRecord* rec;
     // Shared ownership handle (single-record chains retain the record);
-    // points into dom_prefix, which outlives the pass.
+    // points into dom_prefix, which outlives the pass's chain builds.
     const std::shared_ptr<const IntervalRecord>* owner;
     int di;
     std::uint64_t vc_sum;
   };
-  auto vc_sum_of = [](const IntervalRecord& r) { return r.vc.Sum(); };
+
+  GcPass(SharedState& shared_state, const VectorClock& target,
+         std::vector<GcRef>& base_refs)
+      : shared(shared_state),
+        through(target),
+        refs(base_refs),
+        nprocs(shared_state.config.num_procs),
+        dom_prefix(static_cast<std::size_t>(nprocs)),
+        dom_ready(static_cast<std::size_t>(nprocs), 0),
+        foreign_vcw(static_cast<std::size_t>(nprocs)),
+        dom_writers((static_cast<std::size_t>(nprocs) + 63) / 64) {}
+
+  const std::vector<std::shared_ptr<const IntervalRecord>>& DominatedPrefix(
+      ProcId p);
+  void RetireVirginWriters(UnitId u);
+  bool Split(UnitId u, std::vector<PendingInterval>& pend, bool resolve);
+  bool AdoptCached(UnitId u, ProcId x);
+  std::uint64_t Extend(std::vector<FlattenedChain>& flat, bool store);
+
+  SharedState& shared;
+  const VectorClock& through;
+  std::vector<GcRef>& refs;
+  const int nprocs;
+  // Snapshot of each archive's dominated prefix (see DominatedPrefix).
+  std::vector<std::vector<std::shared_ptr<const IntervalRecord>>> dom_prefix;
+  std::vector<std::uint8_t> dom_ready;
   // One reclaimed record is typically pending at most nodes; resolve each
   // (proc, seq) once per unit and reuse across the node loop.
   std::unordered_map<std::uint64_t, Resolved> resolve_memo;
   std::vector<PendingInterval> live;
-  std::vector<Resolved> kept;
+  std::vector<Resolved> kept;  // the last Split's dominated records
   // Per-writer sorted foreign clock entries of the current batch (see the
-  // absorption predicate below).
-  std::vector<std::vector<Seq>> foreign_vcw(nprocs);
-  // Chain intern cache for this worker's stripe.  Keyed on the node's
+  // absorption predicate in Extend).
+  std::vector<std::vector<Seq>> foreign_vcw;
+  // Chain intern cache for the current unit.  Keyed on the node's
   // pre-existing chains (header fields + body identity — bodies are
   // compared by pointer, which is sound because every body referenced by
   // a key outlives the cache) and the kept record pointers; the unit is
-  // implicit (all keys of one worker iteration share it, and the cache is
-  // cleared per unit).  The value is a node's complete post-build chain
-  // vector; a hit replaces the hitting node's chains wholesale with
-  // header copies sharing the cached bodies.
+  // implicit (the cache is cleared per unit).  The value is the node
+  // whose complete post-build chain vector a hit copies.
   std::unordered_map<std::string, ProcId> chain_cache;
   std::string key;
-  auto key_add = [&key](const void* p, std::size_t n) {
+  std::uint64_t chains_built = 0;
+  std::uint64_t chains_shared = 0;
+  // Dominated-writer scratch for RetireVirginWriters: one bit per
+  // processor with a dominated record naming the current unit this pass.
+  std::vector<std::uint64_t> dom_writers;
+};
+
+// Archive p's dominated prefix, snapshotted on first use in the pass (one
+// mutex hold per archive): lock-heavy programs resolve tens of thousands
+// of (proc, seq) references per pass, and per-reference Find() would pay
+// a mutex round-trip each.  The snapshot is a lock-free binary-search
+// index; archives the pass never names are never copied.
+const std::vector<std::shared_ptr<const IntervalRecord>>&
+Node::GcPass::DominatedPrefix(ProcId p) {
+  const auto i = static_cast<std::size_t>(p);
+  if (dom_ready[i] == 0) {
+    dom_prefix[i] = shared.archives[i]->RangeShared(0, through[p]);
+    dom_ready[i] = 1;
+  }
+  return dom_prefix[i];
+}
+
+// Virgin-node bookkeeping (DESIGN.md §8).  Union of dominated writers over
+// every node's pending entries: a dominated record is pending at every
+// node that never consumed it, so a writer absent here has no record
+// entering any build this pass.  A still-virgin node whose OWN records
+// are about to be flattened stops being virgin now: it adopts the shared
+// store — exactly its per-node state, by induction — and takes the
+// per-node path.  Every remaining virgin's pending therefore holds the
+// identical full dominated batch (pending never holds own records), which
+// is what makes one shared store build exact for all of them.
+void Node::GcPass::RetireVirginWriters(UnitId u) {
+  SharedState::VirginHistory& virgin = shared.virgin_history[u];
+  std::fill(dom_writers.begin(), dom_writers.end(), 0);
+  bool any_unit_dom = false;
+  for (ProcId x = 0; x < nprocs; ++x) {
+    for (const PendingInterval& pi : shared.nodes[x]->pending_[u]) {
+      if (pi.seq <= through[pi.proc]) {
+        dom_writers[static_cast<std::size_t>(pi.proc) >> 6] |=
+            std::uint64_t{1} << (pi.proc & 63);
+        any_unit_dom = true;
+      }
+    }
+  }
+  if (any_unit_dom) {
+    for (ProcId w = 0; w < nprocs; ++w) {
+      if (((dom_writers[static_cast<std::size_t>(w) >> 6] >> (w & 63)) &
+           1) == 0) {
+        continue;
+      }
+      if (shared.sharers->Register(u, w)) continue;  // already a sharer
+      Node& writer = *shared.nodes[w];
+      if (!virgin.chains.empty()) writer.flattened_[u] = virgin.chains;
+    }
+  }
+  if (shared.sharers->SharerCount(u) == nprocs && !virgin.chains.empty()) {
+    // Every node adopted the shared history; nothing will read it again.
+    std::vector<FlattenedChain>().swap(virgin.chains);
+  }
+}
+
+// Dominated/live split of one node's pending notices for unit `u`: leaves
+// the live entries in `pend` and returns whether any were dominated.
+// With `resolve`, the dominated entries are resolved into `kept`, and a
+// record's first resolution in the unit routes it to the canonical base
+// exactly once: its words reach the nodes' chains only through the base.
+bool Node::GcPass::Split(UnitId u, std::vector<PendingInterval>& pend,
+                         bool resolve) {
+  live.clear();
+  kept.clear();
+  bool any_dom = false;
+  for (const PendingInterval& pi : pend) {
+    if (pi.seq > through[pi.proc]) {
+      live.push_back(pi);
+      continue;
+    }
+    any_dom = true;
+    if (!resolve) continue;
+    const std::uint64_t rkey =
+        (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) | pi.seq;
+    auto memo = resolve_memo.find(rkey);
+    if (memo == resolve_memo.end()) {
+      const auto& v = DominatedPrefix(pi.proc);
+      auto it = std::lower_bound(
+          v.begin(), v.end(), pi.seq,
+          [](const std::shared_ptr<const IntervalRecord>& r, Seq s) {
+            return r->seq < s;
+          });
+      DSM_CHECK(it != v.end() && (*it)->seq == pi.seq)
+          << "GC: missing interval (" << pi.proc << "," << pi.seq << ")";
+      const IntervalRecord* rec = it->get();
+      const int di = rec->IndexOf(u);
+      DSM_CHECK_GE(di, 0);
+      memo = resolve_memo.emplace(rkey, Resolved{rec, &*it, di, rec->vc.Sum()})
+                 .first;
+      refs.push_back({u, rec, di, memo->second.vc_sum});
+    }
+    kept.push_back(memo->second);
+  }
+  if (any_dom) pend.assign(live.begin(), live.end());
+  return any_dom;
+}
+
+// Intern-cache lookup for node x's build of unit `u` from the last
+// Split.  Leaves the cache key in `key`; on a hit, replaces x's chains
+// with the builder's and returns true.
+bool Node::GcPass::AdoptCached(UnitId u, ProcId x) {
+  // Pre-state identity: (body pointer, blocked) per chain suffices.
+  // A fault always consumes (clears) the chains it touches, and a GC
+  // extension copy-on-writes any shared body, so two chains with the
+  // same body pointer are bit-identical except for the blocked flag,
+  // which a later build may set on one sharer's header only.
+  auto key_add = [this](const void* p, std::size_t n) {
     key.append(static_cast<const char*>(p), n);
   };
-  std::uint64_t chains_built = 0, chains_shared = 0;
+  std::vector<FlattenedChain>& mine = shared.nodes[x]->flattened_[u];
+  key.clear();
+  for (const FlattenedChain& c : mine) {
+    key.push_back(c.blocked ? 1 : 0);
+    const void* identity = c.rec != nullptr
+                               ? static_cast<const void*>(c.rec.get())
+                               : static_cast<const void*>(c.body.get());
+    key_add(&identity, sizeof(identity));
+  }
+  key.push_back('\xff');
+  for (const Resolved& r : kept) {
+    key_add(&r.rec, sizeof(r.rec));
+  }
+  auto hit = chain_cache.find(key);
+  if (hit == chain_cache.end()) return false;
+  // Identical pre-state and inputs: adopt the builder node's result
+  // (cheap headers; the bodies — runs, stamps, clocks — are shared).  The
+  // builder's vector is final (every node is visited once per unit), and
+  // this node's vector was its element-wise twin before the build, so
+  // only entries the build touched need copying — long-lived chain lists
+  // on never-faulting nodes would otherwise pay a full refcount round per
+  // chain per pass.  Adopting flags the builder's merged bodies as
+  // shared, so the builder's own next extension copy-on-writes instead of
+  // mutating a body this node now also holds.
+  std::vector<FlattenedChain>& built = shared.nodes[hit->second]->flattened_[u];
+  DSM_CHECK_GE(built.size(), mine.size());
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    FlattenedChain& b = built[i];
+    FlattenedChain& m = mine[i];
+    if (m.rec.get() != b.rec.get() || m.body.get() != b.body.get() ||
+        m.blocked != b.blocked || m.last_seq != b.last_seq) {
+      if (b.body != nullptr) b.body_shared = true;
+      m = b;
+      ++chains_shared;
+    }
+  }
+  for (std::size_t i = mine.size(); i < built.size(); ++i) {
+    if (built[i].body != nullptr) built[i].body_shared = true;
+    mine.push_back(built[i]);
+    ++chains_shared;
+  }
+  return true;
+}
 
-  // Dominated-writer scratch for the virgin bookkeeping below: one bit per
-  // processor with a dominated record naming the current unit this pass.
-  std::vector<std::uint64_t> dom_writers(
-      (static_cast<std::size_t>(nprocs) + 63) / 64);
+// Chain extension: coalesce the last Split's dominated records into
+// `flat`, per writer, extending the writer's last chain or opening a new
+// one, then freeze the `blocked` verdicts.  Returns the number of chains
+// opened.  `store` marks a virgin-store build: fault paths adopt the
+// store's bodies with no synchronization point to flag them at, so every
+// extended store header stays permanently "shared" (every copy inherits
+// the flag; a later store extension clones first).
+std::uint64_t Node::GcPass::Extend(std::vector<FlattenedChain>& flat,
+                                   bool store) {
+  // The fault path's absorption predicate — "no foreign interval q
+  // with chain_first happened-before q but not candidate-tail
+  // happened-before q" — only reads q.vc[w] for a chain of writer w:
+  // it fails exactly when some foreign q has first_seq <= q.vc[w] <
+  // tail_seq.  Batches from lock-heavy programs can hold hundreds of
+  // records per unit, so evaluate it by binary search over the
+  // sorted foreign clock entries instead of rescanning the batch.
+  for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
+  for (const Resolved& q : kept) {
+    for (ProcId w = 0; w < nprocs; ++w) {
+      if (q.rec->proc != w) foreign_vcw[w].push_back(q.rec->vc[w]);
+    }
+  }
+  for (ProcId w = 0; w < nprocs; ++w) {
+    std::sort(foreign_vcw[w].begin(), foreign_vcw[w].end());
+  }
+  auto may_absorb = [&](ProcId w, Seq first_seq, Seq tail_seq) {
+    const std::vector<Seq>& v = foreign_vcw[w];
+    auto it = std::lower_bound(v.begin(), v.end(), first_seq);
+    return it == v.end() || *it >= tail_seq;
+  };
 
+  std::uint64_t opened = 0;
+  for (ProcId w = 0; w < nprocs; ++w) {
+    // Only the last existing chain of writer w may be extended.
+    std::size_t open = flat.size();
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      if (flat[i].writer == w) open = i;
+    }
+    for (const Resolved& r : kept) {
+      if (r.rec->proc != w) continue;
+      const Diff& diff = r.rec->diffs[static_cast<std::size_t>(r.di)];
+      if (open != flat.size() && !flat[open].blocked &&
+          may_absorb(w, flat[open].first_seq, r.rec->seq)) {
+        FlattenedChain& c = flat[open];
+        // Copy-on-write: converts a single-record chain to a merged
+        // body, or clones a body shared with other nodes whose
+        // pending sets diverged.
+        ChainBody& b = c.MutableBody();
+        b.runs = Diff::MergeRuns(b.runs, diff.runs());
+        b.payload_words = Diff::RunWords(b.runs);
+        b.last_vc = r.rec->vc;
+        b.stamps = std::make_shared<const StampNode>(StampNode{
+            StampRef{r.rec->diffed, static_cast<std::uint32_t>(r.di)},
+            std::move(b.stamps)});
+        c.last_seq = r.rec->seq;
+        if (store) c.body_shared = true;
+      } else {
+        // New chains start in the single-record form: one shared_ptr
+        // copy, no merged body until (unless) something is absorbed.
+        FlattenedChain c;
+        c.writer = w;
+        c.first_seq = r.rec->seq;
+        c.last_seq = r.rec->seq;
+        c.rec = *r.owner;
+        c.di = r.di;
+        flat.push_back(std::move(c));
+        ++opened;
+        open = flat.size() - 1;
+      }
+    }
+  }
+  // A foreign reclaimed interval ordered after a chain's head means
+  // no later interval may ever be absorbed into the chain (the fault
+  // path would re-check this against the record, which is about to be
+  // reclaimed — freeze the verdict in the flag).
+  for (FlattenedChain& c : flat) {
+    if (c.blocked) continue;
+    const std::vector<Seq>& v = foreign_vcw[c.writer];
+    if (!v.empty() && v.back() >= c.first_seq) c.blocked = true;
+  }
+  return opened;
+}
+
+void Node::GcFlatten(const VectorClock& through) {
+  SharedState& shared = shared_;
+  const std::size_t num_units = shared.heap.num_units();
   DSM_CHECK(gc_refs_.empty());
-  for (UnitId u = static_cast<UnitId>(start); u < num_units;
-       u += static_cast<UnitId>(step)) {
-    chain_cache.clear();
-    resolve_memo.clear();
-    SharedState::VirginHistory& virgin = shared.virgin_history[u];
+  GcPass pass(shared, through, gc_refs_);
 
-    // --- virgin-node bookkeeping (DESIGN.md §8) --------------------------
-    // Union of dominated writers over every node's pending entries.  A
-    // dominated record is pending at every node that never consumed it, so
-    // a writer absent here has no record entering any build this pass.
-    std::fill(dom_writers.begin(), dom_writers.end(), 0);
-    bool any_unit_dom = false;
-    for (ProcId x = 0; x < nprocs; ++x) {
-      for (const PendingInterval& pi : shared.nodes[x]->pending_[u]) {
-        if (pi.seq <= through[pi.proc]) {
-          dom_writers[static_cast<std::size_t>(pi.proc) >> 6] |=
-              std::uint64_t{1} << (pi.proc & 63);
-          any_unit_dom = true;
-        }
-      }
-    }
-    // A still-virgin node whose OWN records are about to be flattened
-    // stops being virgin now: it adopts the shared store — exactly its
-    // per-node state, by induction — and takes the per-node path below.
-    // Every remaining virgin's pending therefore holds the identical full
-    // dominated batch (pending never holds own records), which is what
-    // makes one shared store build exact for all of them.
-    if (any_unit_dom) {
-      for (ProcId w = 0; w < nprocs; ++w) {
-        if (((dom_writers[static_cast<std::size_t>(w) >> 6] >> (w & 63)) &
-             1) == 0) {
-          continue;
-        }
-        if (shared.sharers->Register(u, w)) continue;  // already a sharer
-        Node& writer = *shared.nodes[w];
-        if (!virgin.chains.empty()) writer.flattened_[u] = virgin.chains;
-      }
-    }
-    if (shared.sharers->SharerCount(u) == nprocs && !virgin.chains.empty()) {
-      // Every node adopted the shared history; nothing will read it again.
-      std::vector<FlattenedChain>().swap(virgin.chains);
-    }
+  for (UnitId u = 0; u < num_units; ++u) {
+    pass.chain_cache.clear();
+    pass.resolve_memo.clear();
+    pass.RetireVirginWriters(u);
     bool virgin_built = false;  // store build done for this pass
     std::uint64_t virgin_new_chains = 0;
     int virgin_consumers = 0;   // virgins with dominated pending
 
-    for (ProcId x = 0; x < nprocs; ++x) {
-      Node& node = *shared.nodes[x];
-      std::vector<PendingInterval>& pend = node.pending_[u];
+    for (ProcId x = 0; x < pass.nprocs; ++x) {
+      std::vector<PendingInterval>& pend = shared.nodes[x]->pending_[u];
       if (pend.empty()) continue;
       if (!shared.sharers->IsSharer(u, x)) {
         // Virgin fast path (DESIGN.md §8): this node never faulted on the
@@ -1089,265 +1247,32 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
         // store; the rest only drop their dominated entries.  Chain
         // headers thus stop scaling with the cluster size on units most
         // nodes never touch.
-        live.clear();
-        kept.clear();
-        bool any_dom = false;
-        for (const PendingInterval& pi : pend) {
-          if (pi.seq > through[pi.proc]) {
-            live.push_back(pi);
-            continue;
-          }
-          any_dom = true;
-          if (virgin_built) continue;  // first virgin resolved the batch
-          const std::uint64_t rkey =
-              (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) |
-              pi.seq;
-          auto memo = resolve_memo.find(rkey);
-          if (memo == resolve_memo.end()) {
-            const std::shared_ptr<const IntervalRecord>* owner =
-                find_dominated(pi.proc, pi.seq);
-            const IntervalRecord* rec = owner->get();
-            const int di = rec->IndexOf(u);
-            DSM_CHECK_GE(di, 0);
-            memo = resolve_memo
-                       .emplace(rkey,
-                                Resolved{rec, owner, di, vc_sum_of(*rec)})
-                       .first;
-            gc_refs_.push_back({u, rec, di, memo->second.vc_sum});
-          }
-          kept.push_back(memo->second);
-        }
-        if (!any_dom) continue;
+        if (!pass.Split(u, pend, /*resolve=*/!virgin_built)) continue;
         ++virgin_consumers;
-        pend.assign(live.begin(), live.end());
         if (virgin_built) continue;
         virgin_built = true;
-        for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
-        for (const Resolved& q : kept) {
-          for (ProcId w = 0; w < nprocs; ++w) {
-            if (q.rec->proc != w) foreign_vcw[w].push_back(q.rec->vc[w]);
-          }
-        }
-        for (ProcId w = 0; w < nprocs; ++w) {
-          std::sort(foreign_vcw[w].begin(), foreign_vcw[w].end());
-        }
-        auto may_absorb_v = [&](ProcId w, Seq first_seq, Seq tail_seq) {
-          const std::vector<Seq>& v = foreign_vcw[w];
-          auto it = std::lower_bound(v.begin(), v.end(), first_seq);
-          return it == v.end() || *it >= tail_seq;
-        };
-        std::vector<FlattenedChain>& flat = virgin.chains;
-        for (ProcId w = 0; w < nprocs; ++w) {
-          std::size_t open = flat.size();
-          for (std::size_t i = 0; i < flat.size(); ++i) {
-            if (flat[i].writer == w) open = i;
-          }
-          for (const Resolved& r : kept) {
-            if (r.rec->proc != w) continue;
-            const Diff& diff =
-                r.rec->diffs[static_cast<std::size_t>(r.di)];
-            if (open != flat.size() && !flat[open].blocked &&
-                may_absorb_v(w, flat[open].first_seq, r.rec->seq)) {
-              FlattenedChain& c = flat[open];
-              ChainBody& b = c.MutableBody();
-              b.runs = Diff::MergeRuns(b.runs, diff.runs());
-              b.payload_words = Diff::RunWords(b.runs);
-              b.last_vc = r.rec->vc;
-              b.stamps = std::make_shared<const StampNode>(StampNode{
-                  StampRef{r.rec->diffed, static_cast<std::uint32_t>(r.di)},
-                  std::move(b.stamps)});
-              c.last_seq = r.rec->seq;
-              // Virgin-store bodies are adopted by fault paths with no
-              // synchronization point to flag them at, so the store's
-              // header stays permanently "shared" (every copy inherits
-              // the flag; a later store extension clones first).
-              c.body_shared = true;
-            } else {
-              FlattenedChain c;
-              c.writer = w;
-              c.first_seq = r.rec->seq;
-              c.last_seq = r.rec->seq;
-              c.rec = *r.owner;
-              c.di = r.di;
-              flat.push_back(std::move(c));
-              ++virgin_new_chains;
-              open = flat.size() - 1;
-            }
-          }
-        }
-        for (FlattenedChain& c : flat) {
-          if (c.blocked) continue;
-          const std::vector<Seq>& v = foreign_vcw[c.writer];
-          if (!v.empty() && v.back() >= c.first_seq) c.blocked = true;
-        }
+        virgin_new_chains =
+            pass.Extend(shared.virgin_history[u].chains, /*store=*/true);
         continue;
       }
-      live.clear();
-      kept.clear();
-      bool any_dom = false;
-      for (const PendingInterval& pi : pend) {
-        if (pi.seq > through[pi.proc]) {
-          live.push_back(pi);
-          continue;
-        }
-        any_dom = true;
-        const std::uint64_t rkey =
-            (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) |
-            pi.seq;
-        auto memo = resolve_memo.find(rkey);
-        if (memo == resolve_memo.end()) {
-          const std::shared_ptr<const IntervalRecord>* owner =
-              find_dominated(pi.proc, pi.seq);
-          const IntervalRecord* rec = owner->get();
-          const int di = rec->IndexOf(u);
-          DSM_CHECK_GE(di, 0);
-          memo = resolve_memo.emplace(
-                             rkey, Resolved{rec, owner, di, vc_sum_of(*rec)})
-                     .first;
-          // Route the record to the canonical base exactly once per unit:
-          // its words reach this node's chains only through the base.
-          gc_refs_.push_back({u, rec, di, memo->second.vc_sum});
-        }
-        kept.push_back(memo->second);
-      }
-      if (!any_dom) continue;
-      pend.assign(live.begin(), live.end());
-
-      // Pre-state identity: (body pointer, blocked) per chain suffices.
-      // A fault always consumes (clears) the chains it touches, and a GC
-      // extension copy-on-writes any shared body, so two chains with the
-      // same body pointer are bit-identical except for the blocked flag,
-      // which a later build may set on one sharer's header only.
-      key.clear();
-      for (const FlattenedChain& c : node.flattened_[u]) {
-        key.push_back(c.blocked ? 1 : 0);
-        const void* identity = c.rec != nullptr
-                                   ? static_cast<const void*>(c.rec.get())
-                                   : static_cast<const void*>(c.body.get());
-        key_add(&identity, sizeof(identity));
-      }
-      key.push_back('\xff');
-      for (const Resolved& r : kept) {
-        key_add(&r.rec, sizeof(r.rec));
-      }
-      auto hit = chain_cache.find(key);
-      if (hit != chain_cache.end()) {
-        // Identical pre-state and inputs: adopt the builder node's result
-        // (cheap headers; the bodies — runs, stamps, clocks — are
-        // shared).  The builder's vector is final (every node is visited
-        // once per unit), and this node's vector was its element-wise
-        // twin before the build, so only entries the build touched need
-        // copying — long-lived chain lists on never-faulting nodes would
-        // otherwise pay a full refcount round per chain per pass.
-        // Non-const: adopting flags the builder's merged bodies as shared
-        // (safe — one worker owns every node of this unit, see above), so
-        // the builder's own next extension copy-on-writes instead of
-        // mutating a body this node now also holds.
-        std::vector<FlattenedChain>& built =
-            shared.nodes[hit->second]->flattened_[u];
-        std::vector<FlattenedChain>& mine = node.flattened_[u];
-        DSM_CHECK_GE(built.size(), mine.size());
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          FlattenedChain& b = built[i];
-          FlattenedChain& m = mine[i];
-          if (m.rec.get() != b.rec.get() || m.body.get() != b.body.get() ||
-              m.blocked != b.blocked || m.last_seq != b.last_seq) {
-            if (b.body != nullptr) b.body_shared = true;
-            m = b;
-            ++chains_shared;
-          }
-        }
-        for (std::size_t i = mine.size(); i < built.size(); ++i) {
-          if (built[i].body != nullptr) built[i].body_shared = true;
-          mine.push_back(built[i]);
-          ++chains_shared;
-        }
-        continue;
-      }
-      // The fault path's absorption predicate — "no foreign interval q
-      // with chain_first happened-before q but not candidate-tail
-      // happened-before q" — only reads q.vc[w] for a chain of writer w:
-      // it fails exactly when some foreign q has first_seq <= q.vc[w] <
-      // tail_seq.  Batches from lock-heavy programs can hold hundreds of
-      // records per unit, so evaluate it by binary search over the
-      // sorted foreign clock entries instead of rescanning the batch.
-      for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
-      for (const Resolved& q : kept) {
-        for (ProcId w = 0; w < nprocs; ++w) {
-          if (q.rec->proc != w) foreign_vcw[w].push_back(q.rec->vc[w]);
-        }
-      }
-      for (ProcId w = 0; w < nprocs; ++w) {
-        std::sort(foreign_vcw[w].begin(), foreign_vcw[w].end());
-      }
-      auto may_absorb = [&](ProcId w, Seq first_seq, Seq tail_seq) {
-        const std::vector<Seq>& v = foreign_vcw[w];
-        auto it = std::lower_bound(v.begin(), v.end(), first_seq);
-        return it == v.end() || *it >= tail_seq;
-      };
-
-      std::vector<FlattenedChain>& flat = node.flattened_[u];
-      for (ProcId w = 0; w < nprocs; ++w) {
-        // Only the last existing chain of writer w may be extended.
-        std::size_t open = flat.size();
-        for (std::size_t i = 0; i < flat.size(); ++i) {
-          if (flat[i].writer == w) open = i;
-        }
-        for (const Resolved& r : kept) {
-          if (r.rec->proc != w) continue;
-          const Diff& diff = r.rec->diffs[static_cast<std::size_t>(r.di)];
-          if (open != flat.size() && !flat[open].blocked &&
-              may_absorb(w, flat[open].first_seq, r.rec->seq)) {
-            FlattenedChain& c = flat[open];
-            // Copy-on-write: converts a single-record chain to a merged
-            // body, or clones a body shared with other nodes whose
-            // pending sets diverged.
-            ChainBody& b = c.MutableBody();
-            b.runs = Diff::MergeRuns(b.runs, diff.runs());
-            b.payload_words = Diff::RunWords(b.runs);
-            b.last_vc = r.rec->vc;
-            b.stamps = std::make_shared<const StampNode>(StampNode{
-                StampRef{r.rec->diffed, static_cast<std::uint32_t>(r.di)},
-                std::move(b.stamps)});
-            c.last_seq = r.rec->seq;
-          } else {
-            // New chains start in the single-record form: one shared_ptr
-            // copy, no merged body until (unless) something is absorbed.
-            FlattenedChain c;
-            c.writer = w;
-            c.first_seq = r.rec->seq;
-            c.last_seq = r.rec->seq;
-            c.rec = *r.owner;
-            c.di = r.di;
-            flat.push_back(std::move(c));
-            ++chains_built;
-            open = flat.size() - 1;
-          }
-        }
-      }
-      // A foreign reclaimed interval ordered after a chain's head means
-      // no later interval may ever be absorbed into the chain (the fault
-      // path would re-check this against the record, which is about to be
-      // reclaimed — freeze the verdict in the flag).
-      for (FlattenedChain& c : flat) {
-        if (c.blocked) continue;
-        const std::vector<Seq>& v = foreign_vcw[c.writer];
-        if (!v.empty() && v.back() >= c.first_seq) c.blocked = true;
-      }
-      chain_cache.emplace(key, x);
+      if (!pass.Split(u, pend, /*resolve=*/true)) continue;
+      if (pass.AdoptCached(u, x)) continue;
+      pass.chains_built +=
+          pass.Extend(shared.nodes[x]->flattened_[u], /*store=*/false);
+      pass.chain_cache.emplace(pass.key, x);
     }
     // The store build ran once; credit it as if each consuming virgin had
     // built (shared) it, keeping the counters comparable across runs with
     // different sharer populations.
     if (virgin_consumers > 0) {
-      chains_built += virgin_new_chains;
-      chains_shared +=
+      pass.chains_built += virgin_new_chains;
+      pass.chains_shared +=
           virgin_new_chains * static_cast<std::uint64_t>(virgin_consumers - 1);
     }
   }
   ArchiveTelemetry& tel = shared.archive_telemetry;
-  tel.chains_built.fetch_add(chains_built, std::memory_order_relaxed);
-  tel.chains_shared.fetch_add(chains_shared, std::memory_order_relaxed);
+  tel.chains_built.fetch_add(pass.chains_built, std::memory_order_relaxed);
+  tel.chains_shared.fetch_add(pass.chains_shared, std::memory_order_relaxed);
 
   // Checkpoint-complete mode (DESIGN.md §9).  The pending-driven routing
   // above sends a record's words to the base only when some node still had
@@ -1355,24 +1280,20 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
   // consumed it already applied its words), but a recovery checkpoint must
   // hold EVERY dominated interval: the victim's rebuilt image is base +
   // surviving log, with nothing else to fall back on.  Under an armed
-  // fault plan, replace this stripe's base-routing refs wholesale with the
+  // fault plan, replace the pass's base-routing refs wholesale with the
   // full dominated record set.  Host-side only (the chain builds above are
   // untouched), and armed-plan-gated, so fault-free runs stay
   // bit-identical.  Each (unit, record) pair appears exactly once; the
   // apply pass orders each unit group in happens-before order itself.
   if (shared.fault != nullptr) {
     gc_refs_.clear();
-    for (ProcId p = 0; p < nprocs; ++p) {
+    for (ProcId p = 0; p < pass.nprocs; ++p) {
       for (const std::shared_ptr<const IntervalRecord>& owner :
-           dom_prefix_of(p)) {
+           pass.DominatedPrefix(p)) {
         const IntervalRecord* rec = owner.get();
         const std::uint64_t sum = rec->vc.Sum();
         for (std::size_t k = 0; k < rec->units.size(); ++k) {
-          const UnitId u = rec->units[k];
-          if (u % static_cast<UnitId>(step) != static_cast<UnitId>(start)) {
-            continue;
-          }
-          gc_refs_.push_back({u, rec, static_cast<int>(k), sum});
+          gc_refs_.push_back({rec->units[k], rec, static_cast<int>(k), sum});
         }
       }
     }
@@ -1381,27 +1302,25 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
   }
 }
 
-// Apply phase (pass 2): flatten this stripe's referenced diffs into the
-// canonical base, per unit in happens-before order, so ordered overwrites
-// land newest-last.  Clock sums give a cheap deterministic linear
-// extension: r happened-before q implies q.vc >= r.vc pointwise (covering
-// a seq means the covering clock was merged from the closing writer's
-// clock), strictly so in q's own component, hence sum(r.vc) < sum(q.vc).
+// Apply phase (pass 2): flatten the referenced diffs into the canonical
+// base, per unit in happens-before order, so ordered overwrites land
+// newest-last.  Clock sums give a cheap deterministic linear extension:
+// r happened-before q implies q.vc >= r.vc pointwise (covering a seq
+// means the covering clock was merged from the closing writer's clock),
+// strictly so in q's own component, hence sum(r.vc) < sum(q.vc).
 // Concurrent records tie-break by (proc, seq); race-free programs write
 // disjoint words in concurrent intervals, so the tie-break is
 // unobservable there.  (Sums are precomputed at resolve time — deriving
 // them inside the comparator dominated this pass on lock-heavy batches.)
-// Also runs the base release-check for the stripe: a base no chain
-// references any more goes back to the pool.  Release never overlaps a
-// concurrent worker's apply: a unit with fresh references always retains
-// chains.
-void Node::GcApplyStripe(int start, int step) {
+// Also runs the base release-check: a base no chain references any more
+// goes back to the pool.
+void Node::GcApply() {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
   const std::size_t num_units = shared.heap.num_units();
 
   // gc_refs_ is already grouped by unit in ascending order (the flatten
-  // stripe walks units ascending), so only each group needs the
+  // phase walks units ascending), so only each group needs the
   // happens-before sort — far cheaper than one global sort on lock-heavy
   // batches.
   for (std::size_t i = 0; i < gc_refs_.size();) {
@@ -1432,8 +1351,7 @@ void Node::GcApplyStripe(int start, int step) {
   // checkpoint content the victim's rebuild depends on (DESIGN.md §9).
   if (shared.fault != nullptr) return;
 
-  for (UnitId u = static_cast<UnitId>(start); u < num_units;
-       u += static_cast<UnitId>(step)) {
+  for (UnitId u = 0; u < num_units; ++u) {
     if (!shared.canonical->Has(u)) continue;
     // The virgin store pins the base too: any never-faulted node may adopt
     // its chains at a later fault and copy from it.
@@ -1457,10 +1375,6 @@ void Node::GcApplyStripe(int start, int step) {
 // flatten phase, and notices_seen_ >= through everywhere, so no fault or
 // notice collection can touch the pruned prefix.
 void Node::GcPruneOwn(const VectorClock& through) {
-  // Drop the pass's shared snapshot first: records survive the prune
-  // exactly as long as a FlattenedChain retains them.
-  shared_.gc_dom_prefix[id_].clear();
-  shared_.gc_dom_ready[id_].store(0, std::memory_order_relaxed);
   shared_.archives[id_]->PruneThrough(through[id_]);
 }
 
@@ -1566,17 +1480,15 @@ void Node::Barrier() {
       }
     }
   }
-  // Archive GC rides the same idle window (DESIGN.md §6), striped over
-  // every node: each flattens all nodes' dominated pending notices for
-  // its own unit stripe, an inner rendezvous separates flattening from
-  // base application (applies read other stripes' reclaimed records), and
-  // the dominated archive prefixes are pruned after the window closes
-  // (mutex-guarded; nothing live references them).  Every node derives
-  // the same gc_due verdict from purely local state — gc_history holds
+  // Archive GC rides the same idle window (DESIGN.md §6): the barrier
+  // coordinator flattens every node's dominated pending notices and
+  // applies them to the canonical bases in one serial pass, and each
+  // node prunes its own dominated archive prefix after the window closes
+  // (mutex-guarded; nothing live references it).  Every node derives the
+  // same gc_due verdict from purely local state — gc_history holds
   // min(completed barriers, lag) entries, so "history full" is exactly
-  // sync_phase_ >= lag — and proc 0 only appends to the history after the
-  // inner rendezvous proved every stripe worker took its copy of the
-  // flatten target.
+  // sync_phase_ >= lag — and the coordinator only appends to the history
+  // after the closing rendezvous.
   const int gc_interval = shared_.config.gc_interval_barriers;
   const auto gc_lag = static_cast<std::uint32_t>(
       std::max(1, shared_.config.gc_lag_barriers));
@@ -1586,50 +1498,28 @@ void Node::Barrier() {
   bool gc_ran = false;
   VectorClock gc_through;
   if (gc_due) {
-    // Stable read: proc 0 appends to gc_history only after the closing
-    // rendezvous below, which happens-before every other node's next
-    // Arrive — so the deque is frozen while any node copies the front.
+    // Stable read: the coordinator appends to gc_history only after the
+    // closing rendezvous below, which happens-before every other node's
+    // next Arrive — so the deque is frozen while any node copies the front.
     gc_through = shared_.gc_history.front();
-    // Size the pass (archives are frozen, so every node computes the
-    // same count and picks the same mode).  Light passes — steady-state
-    // barrier programs reclaim a handful of records per barrier — run
-    // serially on proc 0 inside the existing window: an inner rendezvous
-    // would cost more in wakeups than the whole pass.  Heavy lock-driven
-    // batches stripe across every idle node, with the rendezvous
-    // separating flattening from base application.
-    std::size_t dominated = 0;
-    for (ProcId p = 0; p < num_procs(); ++p) {
-      dominated += shared_.archives[p]->CountThrough(gc_through[p]);
+    // The archives are frozen too, so every node reaches the same verdict
+    // on whether any record is dominated (and so whether to prune).
+    for (ProcId p = 0; p < num_procs() && !gc_ran; ++p) {
+      const Seq first = shared_.archives[p]->min_retained_seq();
+      gc_ran = first != 0 && first <= gc_through[p];
     }
-    gc_ran = dominated > 0;
-    // Serial-vs-striped switch, hardware-concurrency aware (see
-    // GcSerialPassLimit): identical on every node, so all pick one mode.
-    if (gc_ran && dominated <= shared_.gc_serial_pass_limit) {
-      if (id_ == res.coordinator) {
-        // Serial-GC role: normally proc 0; migrated to the lowest
-        // surviving rank for a barrier whose schedule kills proc 0 (the
-        // about-to-crash victim's pass would die with it) and back once
-        // the victim has rebuilt.
-        GcFlattenStripe(gc_through, 0, 1);
-        GcApplyStripe(0, 1);
-        // Checkpoint watermark (DESIGN.md §9): everything <= gc_through is
-        // now in the bases.  Published before the closing rendezvous, which
-        // happens-before any recovery read of it.
-        if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
-        ++shared_.gc_passes;
-      }
-    } else if (gc_ran) {
-      GcFlattenStripe(gc_through, id_, num_procs());
-      shared_.barrier->Rendezvous();
-      GcApplyStripe(id_, num_procs());
-      if (id_ == res.coordinator) {
-        // Striped watermark: the coordinator's apply may finish before its
-        // peers', but the only reader — a recovering victim — reads after
-        // the closing rendezvous, which orders it after every stripe's
-        // apply.
-        if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
-        ++shared_.gc_passes;
-      }
+    if (gc_ran && id_ == res.coordinator) {
+      // GC role: normally proc 0; migrated to the lowest surviving rank
+      // for a barrier whose schedule kills proc 0 (the about-to-crash
+      // victim's pass would die with it) and back once the victim has
+      // rebuilt.
+      GcFlatten(gc_through);
+      GcApply();
+      // Checkpoint watermark (DESIGN.md §9): everything <= gc_through is
+      // now in the bases.  Published before the closing rendezvous, which
+      // happens-before any recovery read of it.
+      if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
+      ++shared_.gc_passes;
     }
   }
   // HLRC rides the same idle window for its notice-log watermark prune

@@ -64,8 +64,8 @@ struct SharedState {
   // of reclaimed intervals, archive footprint telemetry, and the flatten
   // target — the global vector clock of the last completed barrier, which
   // every node has fully processed by the time the next barrier's idle
-  // window opens.  gc_target/gc_passes are touched only by proc 0 inside
-  // that window.
+  // window opens.  Only the barrier coordinator appends to gc_history and
+  // counts gc_passes; it also runs the whole pass inside that window.
   std::unique_ptr<CanonicalStore> canonical;
   ArchiveTelemetry archive_telemetry;
   // Global clocks of the most recent gc_lag_barriers completed barriers,
@@ -86,10 +86,6 @@ struct SharedState {
   // Null unless the backend is kHlrc.
   std::unique_ptr<std::byte[]> home_image;
   std::unique_ptr<std::mutex[]> home_mutexes;  // one per unit
-  // Serial-vs-striped GC switch for this host (GcSerialPassLimit applied
-  // to std::thread::hardware_concurrency() once at construction, so every
-  // node derives the same pass mode).
-  std::size_t gc_serial_pass_limit = 0;
   // Per-unit sharer directory (DESIGN.md §8): which processors have ever
   // faulted on each unit.  Nodes register on the fault path; the GC and
   // its invariant checks read inside the barrier window.
@@ -186,14 +182,6 @@ struct SharedState {
   // Peer access for the lazy-diffing cost flags; filled in by Runtime
   // after node construction.
   std::vector<Node*> nodes;
-  // Striped archive GC: per-archive snapshot of the dominated prefix,
-  // built once per pass by whichever stripe worker first needs it (under
-  // the mutex) and shared read-only by the rest.  Slot p is cleared by
-  // node p in GcPruneOwn, releasing the batch's shared ownership.
-  std::mutex gc_snapshot_mutex;
-  std::vector<std::vector<std::shared_ptr<const IntervalRecord>>>
-      gc_dom_prefix;
-  std::vector<std::atomic<std::uint8_t>> gc_dom_ready;
 
   explicit SharedState(const RuntimeConfig& cfg);
   // Out-of-line: FaultInjector is incomplete here (unique_ptr member).
@@ -295,19 +283,19 @@ class Node {
   // fault trap itself (callers do).
   void ValidateUnit(UnitId unit);
 
-  // Barrier-epoch archive GC (DESIGN.md §6), orchestrated by Barrier()
-  // inside the extended idle window: flatten the dominated pending
-  // notices of every node for this node's unit stripe (serial passes
-  // use proc 0 with the full range), then — after a rendezvous for
-  // striped passes — apply the stripe's referenced diffs to the
-  // canonical bases and run the base release-check.  GcPruneOwn
-  // reclaims this node's own dominated archive prefix; it is safe to
-  // run concurrently with resumed application threads (archives are
-  // mutex-guarded and no live reference to a dominated record can
-  // exist).
-  void GcFlattenStripe(const VectorClock& through, int start, int step);
-  void GcApplyStripe(int start, int step);
+  // Barrier-epoch archive GC (DESIGN.md §6), run by the barrier
+  // coordinator inside the extended idle window: flatten the dominated
+  // pending notices of every node for every unit, then apply the
+  // referenced diffs to the canonical bases and run the base
+  // release-check.  GcPruneOwn reclaims this node's own dominated
+  // archive prefix; it is safe to run concurrently with resumed
+  // application threads (archives are mutex-guarded and no live
+  // reference to a dominated record can exist).
+  void GcFlatten(const VectorClock& through);
+  void GcApply();
   void GcPruneOwn(const VectorClock& through);
+  // One flatten pass's state and its named phases (protocol.cc).
+  struct GcPass;
 
   // Lazy-diffing phase key: barrier phase in the upper half, lock-chain
   // sub-phase in the lower (see IntervalRecord::diffed).  Barrier programs
@@ -511,10 +499,10 @@ class Node {
   std::vector<std::size_t> hlrc_flush_bytes_;          // HlrcFlushInterval
   std::vector<VirtualNanos> hlrc_flush_server_;        // HlrcFlushInterval
 
-  // Striped archive GC (DESIGN.md §6): the (unit, record) references this
-  // node's flatten stripe routed to the canonical base, unit-ordered
-  // (flatten walks units ascending); consumed and cleared by
-  // GcApplyStripe.  vc_sum caches the happens-before sort key.
+  // Archive GC (DESIGN.md §6): the (unit, record) references the flatten
+  // phase routed to the canonical base, unit-ordered (flatten walks units
+  // ascending); consumed and cleared by GcApply.  vc_sum caches the
+  // happens-before sort key.
   struct GcRef {
     UnitId unit;
     const IntervalRecord* rec;

@@ -121,16 +121,6 @@ Seq IntervalArchive::min_retained_seq() const {
   return records_.empty() ? 0 : records_.front()->seq;
 }
 
-std::size_t IntervalArchive::CountThrough(Seq through) const {
-  std::lock_guard lock(mutex_);
-  auto it = std::upper_bound(
-      records_.begin(), records_.end(), through,
-      [](Seq s, const std::shared_ptr<IntervalRecord>& r) {
-        return s < r->seq;
-      });
-  return static_cast<std::size_t>(it - records_.begin());
-}
-
 std::size_t IntervalArchive::size() const {
   std::lock_guard lock(mutex_);
   return records_.size();

@@ -239,8 +239,8 @@ struct FlattenedChain {
 
 // Footprint counters shared by all archives of a run (updated under each
 // archive's own mutex; atomics make the cross-archive sums race-free).
-// The chain counters are accumulated by the GC's flatten workers — one
-// per node in striped passes — inside the idle barrier window.
+// The chain counters are accumulated once per pass by the GC's flatten
+// phase on the barrier coordinator, inside the idle barrier window.
 struct ArchiveTelemetry {
   std::atomic<std::uint64_t> live_intervals{0};
   std::atomic<std::uint64_t> peak_live_intervals{0};
@@ -293,10 +293,6 @@ class IntervalArchive {
   // Smallest seq still archived (0 when empty) — pruned seqs can never be
   // Find()/Range()d again.
   Seq min_retained_seq() const;
-
-  // Number of archived records with seq <= through (O(log n)).  The GC
-  // sizes a pass with it to pick serial vs striped execution.
-  std::size_t CountThrough(Seq through) const;
 
   void set_telemetry(ArchiveTelemetry* t) { telemetry_ = t; }
 

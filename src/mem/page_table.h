@@ -42,12 +42,11 @@ const char* UnitStateName(UnitState s);
 // reclaimed interval, applied in happens-before order on top of the
 // zero-initialized heap.  FlattenedChains carry only run lists; at fault
 // time their data is copied from here.  Shared across nodes: mutation
-// (Ensure/Release) happens only inside the idle barrier window, where the
-// striped GC workers allocate and release concurrently — the buffer pool
-// and its counters are mutex-guarded.  Each unit's slot is touched by
-// exactly one worker (unit stripe), and fault-time reads happen only
-// outside the window against an immutable-between-barriers image, so reads
-// need no locking.
+// (Ensure/Release) happens only inside the idle barrier window, by the
+// one serial GC pass on the barrier coordinator; the buffer pool and its
+// counters stay mutex-guarded, which costs the pass nothing measurable.
+// Fault-time reads happen only outside the window against an
+// immutable-between-barriers image, so reads need no locking.
 //
 // Buffers are allocated lazily (only units that ever had a pending chain
 // flattened pay) and recycled through a free pool, like twins: when a GC
@@ -96,8 +95,8 @@ class CanonicalStore {
 
  private:
   std::size_t unit_bytes_;
-  // Guards the pool and counters against concurrent GC workers; per-unit
-  // slots themselves are stripe-exclusive.
+  // Guards the pool and counters (the GC pass is their only mutator, so
+  // the lock is never contended).
   mutable std::mutex pool_mutex_;
   std::vector<std::unique_ptr<std::byte[]>> bases_;
   std::vector<std::unique_ptr<std::byte[]>> free_bases_;

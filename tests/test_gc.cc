@@ -12,7 +12,6 @@
 
 #include <cctype>
 #include <cstring>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -154,9 +153,9 @@ TEST(GcBasePlusTail, LateFaultMatchesFullHistoryBitForBit) {
   const LateReaderOutcome off = RunLateReader(0);
   const LateReaderOutcome on = RunLateReader(1);
 
-  // Procs 1 and 3 never touch the unit, so their pending sets (and
-  // pre-existing chains) are identical every pass: the GC's intern cache
-  // must build their chains once and share the bodies.
+  // Procs 1 and 3 never touch the unit, so their pending sets are
+  // identical every pass: the GC must build their chains once (in the
+  // shared virgin store) and share them.
   EXPECT_GT(on.stats.mem.chains_built, 0u);
   EXPECT_GT(on.stats.mem.chains_shared, 0u);
 
@@ -314,6 +313,55 @@ TEST(GcVirginStore, ChainHeadersStayOffNonSharers) {
   EXPECT_GT(big.stats.mem.chains_shared, small.stats.mem.chains_shared);
 }
 
+// --- host-side chain economics -----------------------------------------------
+//
+// The equivalence checks above compare modelled state only.  The GC's
+// host-side economics are deterministic for barrier programs too: one
+// serial pass per barrier, units and nodes walked in fixed order.  So pin
+// them exactly.  A flatten-pass change that builds one more chain, shares
+// one fewer header, or routes one more record into a base fails here.
+// The programs cover both flatten paths: the late reader, the virgin
+// runs and MGS build through the shared virgin store, Barnes through the
+// per-node path and its intern cache.
+struct GcEconomics {
+  std::uint64_t reclaimed_intervals;
+  std::uint64_t gc_passes;
+  std::uint64_t chains_built;
+  std::uint64_t chains_shared;
+  std::uint64_t canonical_base_peak_bytes;
+};
+
+void ExpectEconomics(const MemoryFootprint& m, const GcEconomics& want,
+                     const char* where) {
+  EXPECT_EQ(m.reclaimed_intervals, want.reclaimed_intervals) << where;
+  EXPECT_EQ(m.gc_passes, want.gc_passes) << where;
+  EXPECT_EQ(m.chains_built, want.chains_built) << where;
+  EXPECT_EQ(m.chains_shared, want.chains_shared) << where;
+  EXPECT_EQ(m.canonical_base_peak_bytes, want.canonical_base_peak_bytes)
+      << where;
+}
+
+TEST(GcChainEconomics, BarrierProgramsPinHostSideCounters) {
+  ExpectEconomics(RunLateReader(1).stats.mem, {12, 11, 3, 2, 4096},
+                  "late reader");
+  ExpectEconomics(RunVirgin(4, 1).stats.mem, {9, 9, 1, 2, 4096},
+                  "virgin 4p");
+  ExpectEconomics(RunVirgin(16, 1).stats.mem, {9, 9, 1, 14, 4096},
+                  "virgin 16p");
+  auto run_app = [](const char* name, const AggPoint& agg) {
+    auto app = MakeApp(name, "tiny");
+    return Execute(*app, GcConfig(agg, 4, 1)).stats.mem;
+  };
+  ExpectEconomics(run_app("MGS", kAggs[0]), {154, 64, 31, 62, 126976},
+                  "MGS 4K");
+  ExpectEconomics(run_app("MGS", kAggs[1]), {154, 64, 10, 0, 16384},
+                  "MGS 16K");
+  ExpectEconomics(run_app("Barnes", kAggs[0]), {15, 6, 17, 21, 28672},
+                  "Barnes 4K");
+  ExpectEconomics(run_app("Barnes", kAggs[1]), {15, 6, 11, 4, 49152},
+                  "Barnes 16K");
+}
+
 // --- lock-heavy sweeps -------------------------------------------------------
 //
 // Water and TSP synchronize through locks, whose grant order is host
@@ -458,59 +506,6 @@ TEST(HlrcNoArchive, NoticeLogIsWatermarkPruned) {
           << "proc " << pr;
     }
   }
-}
-
-// --- serial-vs-striped pass sizing -------------------------------------------
-//
-// GcSerialPassLimit is the (pure) policy behind the GC's execution-mode
-// switch; modelled state is identical either way, so the policy is free
-// to depend on the host — pin its shape so a refactor cannot silently
-// turn every pass striped on a laptop or serial on a server.
-TEST(GcPolicy, SerialLimitScalesWithHardwareConcurrency) {
-  // Unknown concurrency: the historical fixed threshold.
-  EXPECT_EQ(GcSerialPassLimit(0), 1024u);
-  // Single core: striping conserves work but buys no parallelism — every
-  // pass stays serial.
-  EXPECT_EQ(GcSerialPassLimit(1), std::numeric_limits<std::size_t>::max());
-  // The 4-thread point reproduces the historical default; wider hosts
-  // stripe progressively lighter passes, down to a floor.
-  EXPECT_EQ(GcSerialPassLimit(2), 2048u);
-  EXPECT_EQ(GcSerialPassLimit(4), 1024u);
-  EXPECT_EQ(GcSerialPassLimit(8), 512u);
-  EXPECT_EQ(GcSerialPassLimit(64), 64u);
-  EXPECT_EQ(GcSerialPassLimit(256), 64u);
-  for (unsigned hw = 2; hw < 128; ++hw) {
-    EXPECT_GE(GcSerialPassLimit(hw), GcSerialPassLimit(hw + 1)) << hw;
-  }
-}
-
-// The switch is only legal because both execution modes are bit-identical
-// to the model — force each mode explicitly (the auto policy would pick
-// whichever one this host's core count selects, leaving the other
-// untested) and compare everything.
-TEST(GcPolicy, SerialAndStripedPassesAreBitIdentical) {
-  auto run_mode = [](GcPassMode mode) {
-    RuntimeConfig cfg;
-    cfg.num_procs = 4;
-    cfg.gc_pass_mode = mode;
-    auto app = MakeApp("MGS", "tiny");
-    return Execute(*app, cfg);
-  };
-  const AppRun serial = run_mode(GcPassMode::kForceSerial);
-  const AppRun striped = run_mode(GcPassMode::kForceStriped);
-  // Both modes actually collected (MGS reclaims every barrier).
-  EXPECT_GT(serial.stats.mem.reclaimed_intervals, 0u);
-  EXPECT_GT(striped.stats.mem.reclaimed_intervals, 0u);
-  EXPECT_EQ(striped.result, serial.result);
-  ExpectModelledStateEqual(striped.stats, serial.stats,
-                           "serial vs striped");
-  // Host-side chain economics are deterministic too: each unit has one
-  // worker in either mode, walking nodes in the same fixed order.
-  EXPECT_EQ(striped.stats.mem.reclaimed_intervals,
-            serial.stats.mem.reclaimed_intervals);
-  EXPECT_EQ(striped.stats.mem.chains_built, serial.stats.mem.chains_built);
-  EXPECT_EQ(striped.stats.mem.chains_shared,
-            serial.stats.mem.chains_shared);
 }
 
 // --- bounded archive ---------------------------------------------------------
