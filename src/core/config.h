@@ -170,12 +170,6 @@ struct RuntimeConfig {
   // stays bounded by interval × lag barriers either way.
   int gc_lag_barriers = 2;
 
-  // Home-based LRC only: homes are assigned to consistency units
-  // round-robin over processors in blocks of this many units (1 =
-  // unit-interleaved; larger blocks give each node contiguous home
-  // ranges, trading hot-home risk for fewer homes per multi-unit fetch).
-  int hlrc_home_block_units = 1;
-
   // Number of DSM lock ids available to the application.
   int num_locks = 4096;
 

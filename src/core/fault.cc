@@ -78,10 +78,6 @@ void RuntimeConfig::Validate() const {
     Invalid("gc_lag_barriers = " + std::to_string(gc_lag_barriers) +
             " is absurd (limit 1024)");
   }
-  if (hlrc_home_block_units < 1) {
-    Invalid("hlrc_home_block_units must be >= 1 (got " +
-            std::to_string(hlrc_home_block_units) + ")");
-  }
   if (num_locks < 1) {
     Invalid("num_locks must be >= 1 (got " + std::to_string(num_locks) + ")");
   }
@@ -403,50 +399,37 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
                  cost.TwinCost(unit_bytes);
     }
 
-    struct Replay {
-      UnitId unit;
-      const IntervalRecord* rec;
-      int di;
-      std::uint64_t vc_sum;
-    };
-    std::vector<Replay> replay;
+    std::vector<DiffRef> replay;
     for (ProcId p = 0; p < nprocs; ++p) {
-      const auto range = shared.archives[p]->Range(cvc[p], cut[p]);
-      if (range.empty()) continue;
       // One exchange per contributing log: request header, per-record
       // notice header plus the encoded diffs.
       std::size_t resp = 0;
-      for (const IntervalRecord* rec : range) {
-        const std::uint64_t sum = rec->vc.Sum();
-        resp += 16;
-        for (std::size_t k = 0; k < rec->units.size(); ++k) {
-          const Diff& d = rec->diffs[k];
-          resp += d.EncodedBytes();
-          c.recovery_data_bytes += d.payload_bytes();
-          replay.push_back(
-              {rec->units[k], rec, static_cast<int>(k), sum});
-        }
-      }
+      std::size_t records = 0;
+      shared.archives[p]->ForEach(
+          cvc[p], cut[p],
+          [&](const std::shared_ptr<const IntervalRecord>& rec) {
+            const std::uint64_t sum = rec->vc.Sum();
+            resp += 16;
+            ++records;
+            for (std::size_t k = 0; k < rec->units.size(); ++k) {
+              const Diff& d = rec->diffs[k];
+              resp += d.EncodedBytes();
+              c.recovery_data_bytes += d.payload_bytes();
+              replay.push_back(
+                  {rec->units[k], rec.get(), static_cast<int>(k), sum});
+            }
+          });
+      if (records == 0) continue;
       c.recovery_messages += 2;
-      c.recovery_records += range.size();
+      c.recovery_records += records;
       slowest = std::max(slowest, shared.net.RoundTripTime(16, resp) +
                                       cost.request_service_overhead);
     }
-    // Happens-before order per unit (same linear extension as the GC
-    // apply pass: clock sums, (proc, seq) tie-break for concurrent
-    // records — race-free programs write disjoint words there).
-    std::sort(replay.begin(), replay.end(),
-              [](const Replay& a, const Replay& b) {
-                if (a.unit != b.unit) return a.unit < b.unit;
-                if (a.vc_sum != b.vc_sum) return a.vc_sum < b.vc_sum;
-                return a.rec->proc != b.rec->proc
-                           ? a.rec->proc < b.rec->proc
-                           : a.rec->seq < b.rec->seq;
-              });
-    for (const Replay& r : replay) {
-      const Diff& d = r.rec->diffs[static_cast<std::size_t>(r.di)];
-      d.Apply(node.UnitSpan(r.unit));
-      install += cost.DiffApplyCost(d.payload_bytes());
+    // Happens-before order per unit: the GC apply pass's replay order.
+    std::sort(replay.begin(), replay.end());
+    for (const DiffRef& r : replay) {
+      r.diff().Apply(node.UnitSpan(r.unit));
+      install += cost.DiffApplyCost(r.diff().payload_bytes());
     }
   } else {
     // HLRC (DESIGN.md §9): surviving homes serve whole-unit copies — one

@@ -34,8 +34,9 @@
 //           (CommBreakdown::recovery_retransmits).
 //
 // When proc 0 is the victim of an at-barrier event, the coordinator roles
-// it normally holds — serial-GC execution, checkpoint watermark publish,
-// the HLRC watermark prune, and the barrier-manager cost asymmetry —
+// it normally holds — the barrier window's archive GC and the prune of
+// every archive (both backends), checkpoint watermark publish, re-home
+// apply, and the barrier-manager cost asymmetry —
 // migrate to the lowest surviving rank for exactly that barrier
 // (SharedState::CoordinatorFor) and migrate back once the victim has
 // rebuilt.

@@ -162,59 +162,32 @@ Node::Node(ProcId id, SharedState& shared)
   }
 }
 
+// Multi-unit spans: one inline access per unit-sized chunk.  Each chunk
+// charges its own words; integer sums are exact, so the modelled time
+// equals one batched charge for the whole span.
 void Node::ReadBytesSlow(GlobalAddr addr, void* out, std::size_t bytes) {
   auto* dst = static_cast<std::byte*>(out);
-  const std::size_t total_words = bytes / kWordBytes;
   while (bytes > 0) {
-    const UnitId unit = static_cast<UnitId>(addr >> unit_shift_);
-    const std::size_t offset_in_unit = addr & (unit_bytes_ - 1);
-    const std::size_t chunk = std::min(bytes, unit_bytes_ - offset_in_unit);
-    if (protocol_enabled_) {
-      if (table_.NeedsFaultOnRead(unit)) ReadFault(unit);
-      tracker_.OnRead(unit,
-                      static_cast<std::uint32_t>(offset_in_unit / kWordBytes),
-                      static_cast<std::uint32_t>(chunk / kWordBytes),
-                      [this](std::uint32_t msg) { comm_stats_.Credit(msg); });
-    }
-    if (race_ != nullptr) {
-      RaceOnAccess(unit, offset_in_unit, chunk, /*is_write=*/false);
-    }
-    std::memcpy(dst, data_ + addr, chunk);
+    const std::size_t chunk =
+        std::min(bytes, unit_bytes_ - (addr & (unit_bytes_ - 1)));
+    ReadBytes(addr, dst, chunk);
     addr += chunk;
     dst += chunk;
     bytes -= chunk;
   }
-  // One batched update for the whole access (integer sums are exact, so
-  // the modelled time matches the former per-chunk advances bit for bit).
-  clock_.Advance(static_cast<VirtualNanos>(total_words) *
-                 shared_access_cost_);
 }
 
 void Node::WriteBytesSlow(GlobalAddr addr, const void* in,
                           std::size_t bytes) {
   auto* src = static_cast<const std::byte*>(in);
-  const std::size_t total_words = bytes / kWordBytes;
   while (bytes > 0) {
-    const UnitId unit = static_cast<UnitId>(addr >> unit_shift_);
-    const std::size_t offset_in_unit = addr & (unit_bytes_ - 1);
-    const std::size_t chunk = std::min(bytes, unit_bytes_ - offset_in_unit);
-    if (protocol_enabled_) {
-      if (table_.NeedsFaultOnWrite(unit)) WriteFault(unit);
-      tracker_.OnWrite(unit,
-                       static_cast<std::uint32_t>(offset_in_unit / kWordBytes),
-                       static_cast<std::uint32_t>(chunk / kWordBytes));
-      MarkWritten(unit, offset_in_unit, chunk);
-    }
-    if (race_ != nullptr) {
-      RaceOnAccess(unit, offset_in_unit, chunk, /*is_write=*/true);
-    }
-    std::memcpy(data_ + addr, src, chunk);
+    const std::size_t chunk =
+        std::min(bytes, unit_bytes_ - (addr & (unit_bytes_ - 1)));
+    WriteBytes(addr, src, chunk);
     addr += chunk;
     src += chunk;
     bytes -= chunk;
   }
-  clock_.Advance(static_cast<VirtualNanos>(total_words) *
-                 shared_access_cost_);
 }
 
 void Node::RaceOnAccess(UnitId unit, std::size_t offset_in_unit,
@@ -619,14 +592,25 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   }
 }
 
+// Release: close the open interval, diff every dirty unit and archive the
+// write notices.  The backends differ only in where the diff goes.
+//
+// LRC keeps it in the archived record.  Diffs are materialized here for
+// bookkeeping (archived records must be immutable), but no cost is
+// charged: TreadMarks diffs lazily, so a release only records write
+// notices.  The diff-creation cost is charged server-side when a peer
+// actually requests the diff (FetchUnits), and a unit re-dirtied before
+// any such request re-twins for free.
+//
+// HLRC (DESIGN.md §7) is the dual: the releaser pays the twin scan now,
+// applies each diff to the unit's home copy, and ships one combined
+// message per remote home (HlrcFlushExchange).  The archived record keeps
+// only the write notices — the payload lives at the homes, so nothing
+// here ever needs garbage collecting.
 void Node::CloseInterval() {
   if (!protocol_enabled()) return;
   const auto& dirty = table_.dirty_units();
   if (dirty.empty()) return;
-  if (hlrc_) {
-    HlrcFlushInterval();
-    return;
-  }
   const CostModel& cost = shared_.config.cost;
 
   IntervalRecord rec;
@@ -634,104 +618,68 @@ void Node::CloseInterval() {
   rec.seq = ++vc_[id_];
   rec.units.reserve(dirty.size());
   rec.diffs.reserve(dirty.size());
-  // Diffs are materialized here for bookkeeping (archived records must be
-  // immutable), but no cost is charged: TreadMarks diffs lazily, so a
-  // release only records write notices.  The diff-creation cost is charged
-  // server-side when a peer actually requests the diff (FetchUnits), and a
-  // unit re-dirtied before any such request re-twins for free.
   for (UnitId unit : dirty) {
     rec.units.push_back(unit);
-    rec.diffs.push_back(
-        Diff::Create(table_.twin(unit), UnitSpan(unit), written_[unit]));
+    Diff diff = Diff::Create(table_.twin(unit), UnitSpan(unit), written_[unit]);
     table_.DropTwin(unit);
     if (table_.state(unit) == UnitState::kDirty) {
       table_.set_state(unit, UnitState::kReadValid);
     }
-    retwin_cheap_[unit] = 1;
     comm_stats_.counters().diffs_created += 1;
+    if (!hlrc_) {
+      retwin_cheap_[unit] = 1;
+      rec.diffs.push_back(std::move(diff));
+      continue;
+    }
+    // Notice-only record: the empty diff keeps the archive's units/diffs
+    // parallel-array invariant without retaining any payload.  No
+    // retwin_cheap_: under eager diffing the twin is genuinely gone after
+    // a release, so the next write pays the full twin again.  The
+    // modelled scan covers the whole unit — eager diffing is how the
+    // releaser discovers emptiness — while the host scan above visits only
+    // the written blocks.
+    rec.diffs.emplace_back();
+    clock_.Advance(cost.DiffCreateCost(unit_bytes_));
+    // An empty diff means the interval changed no bytes: there is nothing
+    // for the home to absorb and the write notice travels with the sync
+    // traffic — no flush message is modelled.
+    if (diff.empty()) continue;
+    {
+      std::lock_guard lock(shared_.home_mutexes[unit]);
+      diff.Apply({shared_.home_image.get() + shared_.heap.UnitBase(unit),
+                  unit_bytes_});
+    }
+    const ProcId home = shared_.EffectiveHome(unit);
+    if (home == id_) continue;
+    if (hlrc_flush_bytes_[home] == 0) {
+      hlrc_flush_bytes_[home] = 16;  // flush message header
+    }
+    hlrc_flush_bytes_[home] += 8 + diff.EncodedBytes();
+    hlrc_flush_server_[home] += cost.DiffApplyCost(diff.payload_bytes());
+    comm_stats_.counters().home_flushes += 1;
+    comm_stats_.counters().home_flush_bytes += diff.payload_bytes();
   }
-  (void)cost;
   rec.vc = vc_;
   table_.ClearDirtyList();
+  if (hlrc_) HlrcFlushExchange();
+
   const IntervalRecord* stored = shared_.archives[id_]->Append(std::move(rec));
   if (shared_.fault != nullptr) {
     const int ev = shared_.fault->MatchAfterClose(id_, stored->seq);
     if (ev >= 0) {
       // Crash point: the interval just reached the (stable) archive, all
-      // twins are dropped, nothing is half-written.  Rebuild in place and
-      // continue transparently (DESIGN.md §9).
+      // twins are dropped, nothing is half-written (under HLRC the homes
+      // already absorbed its diffs).  Rebuild in place and continue
+      // transparently (DESIGN.md §9).
       RecoveryCoordinator::Recover(*this, stored->vc, ev);
     }
   }
 }
 
-// Home-based LRC release (DESIGN.md §7): the dual of the lazy path above.
-// Diffs are created eagerly (the releaser pays the twin scan now, not a
-// future requester), shipped to each dirty unit's home in one combined
-// message per remote home (homes absorb them in parallel; the release
-// waits for the slowest ack), and the archived record keeps only the
-// write notices — the payload now lives at the homes, so nothing here
-// ever needs garbage collecting.
-void Node::HlrcFlushInterval() {
+// One flush exchange per remote home the release touched; homes apply in
+// parallel, and the releaser advances to the slowest acknowledgement.
+void Node::HlrcFlushExchange() {
   const CostModel& cost = shared_.config.cost;
-  const auto& dirty = table_.dirty_units();
-
-  IntervalRecord rec;
-  rec.proc = id_;
-  rec.seq = ++vc_[id_];
-  rec.units.reserve(dirty.size());
-  rec.diffs.reserve(dirty.size());
-
-  VirtualNanos create_cost = 0;
-  for (UnitId unit : dirty) {
-    rec.units.push_back(unit);
-    // Notice-only record: the empty diff keeps the archive's units/diffs
-    // parallel-array invariant without retaining any payload.
-    rec.diffs.emplace_back();
-    // The modelled scan covers the whole unit — eager diffing is how the
-    // releaser discovers emptiness — while the host scan below visits
-    // only the written blocks.
-    create_cost += cost.DiffCreateCost(unit_bytes_);
-    comm_stats_.counters().diffs_created += 1;
-    const Diff diff =
-        Diff::Create(table_.twin(unit), UnitSpan(unit), written_[unit]);
-    const ProcId home = shared_.EffectiveHome(unit);
-    // An empty diff means the interval changed no bytes: the twin scan
-    // above is still paid (eager diffing discovers the emptiness), but
-    // there is nothing for the home to absorb and the write notice
-    // travels with the sync traffic — no flush message is modelled.
-    if (!diff.empty()) {
-      {
-        std::span<std::byte> home_span{
-            shared_.home_image.get() + shared_.heap.UnitBase(unit),
-            unit_bytes_};
-        std::lock_guard lock(shared_.home_mutexes[unit]);
-        diff.Apply(home_span);
-      }
-      if (home != id_) {
-        if (hlrc_flush_bytes_[home] == 0) {
-          hlrc_flush_bytes_[home] = 16;  // flush message header
-        }
-        hlrc_flush_bytes_[home] += 8 + diff.EncodedBytes();
-        hlrc_flush_server_[home] +=
-            cost.DiffApplyCost(diff.payload_bytes());
-        comm_stats_.counters().home_flushes += 1;
-        comm_stats_.counters().home_flush_bytes += diff.payload_bytes();
-      }
-    }
-    table_.DropTwin(unit);
-    if (table_.state(unit) == UnitState::kDirty) {
-      table_.set_state(unit, UnitState::kReadValid);
-    }
-    // No retwin_cheap_: under eager diffing the twin is genuinely gone
-    // after a release, so the next write pays the full twin again.
-  }
-  rec.vc = vc_;
-  table_.ClearDirtyList();
-  clock_.Advance(create_cost);
-
-  // One flush exchange per remote home touched; homes apply in parallel,
-  // the releaser advances to the slowest acknowledgement.
   VirtualNanos slowest = 0;
   bool learned = false;
   for (ProcId h = 0; h < num_procs(); ++h) {
@@ -754,16 +702,6 @@ void Node::HlrcFlushInterval() {
     hlrc_flush_server_[h] = 0;
   }
   clock_.Advance(slowest);
-
-  const IntervalRecord* stored = shared_.archives[id_]->Append(std::move(rec));
-  if (shared_.fault != nullptr) {
-    const int ev = shared_.fault->MatchAfterClose(id_, stored->seq);
-    if (ev >= 0) {
-      // Same crash point as the LRC path: record archived, homes already
-      // absorbed this interval's diffs, twins dropped.
-      RecoveryCoordinator::Recover(*this, stored->vc, ev);
-    }
-  }
 }
 
 // Home-based LRC fault resolution (DESIGN.md §7): whole-unit copies from
@@ -863,27 +801,6 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
   }
 }
 
-// HLRC notice-log watermark pruning: a record every other node has
-// already processed (its seq is at or below everyone's notices_seen_ for
-// the writer) can never be Range()d again — not by a lock acquire, not by
-// a barrier release — so proc 0 drops those prefixes inside the barrier's
-// idle window, where no peer can be appending or collecting.  This is the
-// whole HLRC memory story: records are notice-only metadata, and the log
-// stays bounded by how far the slowest consumer lags.
-//
-// `min_seen` is the componentwise floor the barrier manager accumulated
-// from every arriver's notices_seen_ (BarrierService::Result::min_seen).
-// Peers park between their Arrive and the Rendezvous with notices_seen_
-// frozen (consumption happens only in CollectNotices / InvalidateFrom,
-// which run after the Rendezvous releases them), so the arrival-time fold
-// equals the old in-window rescan of every node's vector while costing
-// O(num_procs) total instead of O(num_procs²) on proc 0.
-void Node::HlrcPruneNotices(const VectorClock& min_seen) {
-  for (ProcId p = 0; p < num_procs(); ++p) {
-    shared_.archives[p]->PruneThrough(min_seen[p]);
-  }
-}
-
 // See protocol.h: lazy learning of crash-driven re-home batches.  The
 // epoch is written by the barrier coordinator inside the idle window and
 // read here strictly after the closing rendezvous of that barrier, so the
@@ -941,7 +858,7 @@ struct Node::GcPass {
   };
 
   GcPass(SharedState& shared_state, const VectorClock& target,
-         std::vector<GcRef>& base_refs)
+         std::vector<DiffRef>& base_refs)
       : shared(shared_state),
         through(target),
         refs(base_refs),
@@ -960,7 +877,7 @@ struct Node::GcPass {
 
   SharedState& shared;
   const VectorClock& through;
-  std::vector<GcRef>& refs;
+  std::vector<DiffRef>& refs;
   const int nprocs;
   // Snapshot of each archive's dominated prefix (see DominatedPrefix).
   std::vector<std::vector<std::shared_ptr<const IntervalRecord>>> dom_prefix;
@@ -997,7 +914,11 @@ const std::vector<std::shared_ptr<const IntervalRecord>>&
 Node::GcPass::DominatedPrefix(ProcId p) {
   const auto i = static_cast<std::size_t>(p);
   if (dom_ready[i] == 0) {
-    dom_prefix[i] = shared.archives[i]->RangeShared(0, through[p]);
+    shared.archives[i]->ForEach(
+        0, through[p],
+        [this, i](const std::shared_ptr<const IntervalRecord>& r) {
+          dom_prefix[i].push_back(r);
+        });
     dom_ready[i] = 1;
   }
   return dom_prefix[i];
@@ -1297,23 +1218,14 @@ void Node::GcFlatten(const VectorClock& through) {
         }
       }
     }
-    std::sort(gc_refs_.begin(), gc_refs_.end(),
-              [](const GcRef& a, const GcRef& b) { return a.unit < b.unit; });
+    std::sort(gc_refs_.begin(), gc_refs_.end());
   }
 }
 
 // Apply phase (pass 2): flatten the referenced diffs into the canonical
-// base, per unit in happens-before order, so ordered overwrites land
-// newest-last.  Clock sums give a cheap deterministic linear extension:
-// r happened-before q implies q.vc >= r.vc pointwise (covering a seq
-// means the covering clock was merged from the closing writer's clock),
-// strictly so in q's own component, hence sum(r.vc) < sum(q.vc).
-// Concurrent records tie-break by (proc, seq); race-free programs write
-// disjoint words in concurrent intervals, so the tie-break is
-// unobservable there.  (Sums are precomputed at resolve time — deriving
-// them inside the comparator dominated this pass on lock-heavy batches.)
-// Also runs the base release-check: a base no chain references any more
-// goes back to the pool.
+// base, per unit in happens-before order (DiffRef), so ordered overwrites
+// land newest-last.  Also runs the base release-check: a base no chain
+// references any more goes back to the pool.
 void Node::GcApply() {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
@@ -1328,20 +1240,14 @@ void Node::GcApply() {
     std::size_t j = i;
     while (j < gc_refs_.size() && gc_refs_[j].unit == u) ++j;
     std::sort(gc_refs_.begin() + static_cast<std::ptrdiff_t>(i),
-              gc_refs_.begin() + static_cast<std::ptrdiff_t>(j),
-              [](const GcRef& a, const GcRef& b) {
-                if (a.vc_sum != b.vc_sum) return a.vc_sum < b.vc_sum;
-                return a.rec->proc != b.rec->proc
-                           ? a.rec->proc < b.rec->proc
-                           : a.rec->seq < b.rec->seq;
-              });
+              gc_refs_.begin() + static_cast<std::ptrdiff_t>(j));
     std::span<std::byte> base = shared.canonical->Ensure(u);
     const IntervalRecord* last = nullptr;
     for (; i < j; ++i) {
-      const GcRef& r = gc_refs_[i];
+      const DiffRef& r = gc_refs_[i];
       if (r.rec == last) continue;  // several nodes referenced it
       last = r.rec;
-      r.rec->diffs[static_cast<std::size_t>(r.di)].Apply(base);
+      r.diff().Apply(base);
     }
   }
   gc_refs_.clear();
@@ -1367,38 +1273,73 @@ void Node::GcApply() {
   }
 }
 
-// Reclaim phase (pass 3): prune this node's own dominated archive prefix
-// (FlattenedChains keep the lazy-diffing stamp arrays of their member
-// records alive).  Runs after the barrier window closes, concurrent with
-// resumed application threads: archives are mutex-guarded, every
-// dominated reference was converted to a chain in the
-// flatten phase, and notices_seen_ >= through everywhere, so no fault or
-// notice collection can touch the pruned prefix.
-void Node::GcPruneOwn(const VectorClock& through) {
-  shared_.archives[id_]->PruneThrough(through[id_]);
+// Archive GC (DESIGN.md §6), run by the barrier coordinator inside the
+// idle window.  Every gc_interval_barriers barriers, once gc_history holds
+// gc_lag completed barriers, the oldest of their global clocks is the
+// flatten target: every node has processed all of it.  When any archive
+// still holds a record at or below the target, flatten every node's
+// dominated pending notices into chains, apply their diffs to the
+// canonical bases, and prune every archive through the target (pass 3;
+// FlattenedChains keep the lazy-diffing stamp arrays of their member
+// records alive).  Then record this barrier's global clock.
+void Node::CollectGarbage(const VectorClock& global_vc) {
+  const int interval = shared_.config.gc_interval_barriers;
+  if (interval <= 0) return;
+  const auto lag =
+      static_cast<std::size_t>(std::max(1, shared_.config.gc_lag_barriers));
+  std::deque<VectorClock>& history = shared_.gc_history;
+  if (history.size() == lag &&
+      (sync_phase_ + 1) % static_cast<std::uint32_t>(interval) == 0) {
+    const VectorClock& through = history.front();
+    bool any = false;
+    for (ProcId p = 0; p < num_procs() && !any; ++p) {
+      const Seq first = shared_.archives[p]->min_retained_seq();
+      any = first != 0 && first <= through[p];
+    }
+    if (any) {
+      GcFlatten(through);
+      GcApply();
+      // Checkpoint watermark (DESIGN.md §9): everything <= through is now
+      // in the bases.  Published before the closing rendezvous, which
+      // happens-before any recovery read of it.
+      if (shared_.fault != nullptr) shared_.checkpoint_vc = through;
+      ++shared_.gc_passes;
+      PruneArchives(through);
+    }
+  }
+  history.push_back(global_vc);
+  if (history.size() > lag) history.pop_front();
 }
 
-void Node::CollectNotices(const VectorClock& target,
-                          std::size_t* notice_bytes,
-                          std::vector<const IntervalRecord*>& out) const {
+void Node::PruneArchives(const VectorClock& through) {
+  for (ProcId p = 0; p < num_procs(); ++p) {
+    shared_.archives[p]->PruneThrough(through[p]);
+  }
+}
+
+std::size_t Node::CollectNotices(const VectorClock& target) {
+  std::vector<const IntervalRecord*>& out = notice_scratch_;
+  CommBreakdown& c = comm_stats_.counters();
   out.clear();
   std::size_t bytes = 0;
   for (ProcId p = 0; p < num_procs(); ++p) {
-    if (p == id_) continue;
-    if (target[p] <= notices_seen_[p]) continue;
-    auto range = shared_.archives[p]->Range(notices_seen_[p], target[p]);
-    for (const IntervalRecord* rec : range) {
-      bytes += rec->NoticeBytes();
-      out.push_back(rec);
-    }
+    if (p == id_ || target[p] <= notices_seen_[p]) continue;
+    shared_.archives[p]->ForEach(
+        notices_seen_[p], target[p],
+        [&](const std::shared_ptr<const IntervalRecord>& rec) {
+          bytes += rec->NoticeBytes();
+          c.notice_clock_bytes += rec->vc.EncodedBytes();
+          out.push_back(rec.get());
+        });
   }
-  if (notice_bytes != nullptr) *notice_bytes = bytes;
+  c.notice_clock_bytes_dense +=
+      out.size() * VectorClock::DenseEncodedBytes(num_procs());
+  return bytes;
 }
 
-void Node::InvalidateFrom(
-    const std::vector<const IntervalRecord*>& records) {
+void Node::InvalidateFrom(const VectorClock& target) {
   const CostModel& cost = shared_.config.cost;
-  for (const IntervalRecord* rec : records) {
+  for (const IntervalRecord* rec : notice_scratch_) {
     for (UnitId unit : rec->units) {
       pending_[unit].push_back({rec->proc, rec->seq});
       const UnitState s = table_.state(unit);
@@ -1410,14 +1351,19 @@ void Node::InvalidateFrom(
     }
     notices_seen_[rec->proc] = std::max(notices_seen_[rec->proc], rec->seq);
   }
+  vc_.Merge(target);
+  if (shared_.config.aggregation == AggregationMode::kDynamic) {
+    aggregator_.OnSynchronization();
+  }
 }
 
 std::size_t Node::OutgoingNoticeBytes() {
   std::size_t bytes = 0;
-  for (const IntervalRecord* rec :
-       shared_.archives[id_]->Range(last_sent_seq_, vc_[id_])) {
-    bytes += rec->NoticeBytes();
-  }
+  shared_.archives[id_]->ForEach(
+      last_sent_seq_, vc_[id_],
+      [&bytes](const std::shared_ptr<const IntervalRecord>& rec) {
+        bytes += rec->NoticeBytes();
+      });
   last_sent_seq_ = vc_[id_];
   return bytes;
 }
@@ -1467,11 +1413,8 @@ void Node::Barrier() {
   // consulted by WriteFault, then rendezvous again so no processor starts
   // the next phase (and issues new requests) before every drain finished.
   // This quantizes the lazy-diffing cost decisions to barrier phases,
-  // making modelled time independent of host thread scheduling.
-  //
-  // HLRC diffs eagerly and keeps no diff archive, so neither the
-  // lazy-diffing flags nor the archive GC exist for it; the idle window
-  // instead hosts the trivial notice-log watermark prune.
+  // making modelled time independent of host thread scheduling.  HLRC
+  // diffs eagerly, so it has no lazy-diffing flags.
   if (!hlrc_) {
     for (std::size_t u = 0; u < diff_requested_.size(); ++u) {
       if (diff_requested_[u].load(std::memory_order_relaxed) != 0) {
@@ -1480,70 +1423,26 @@ void Node::Barrier() {
       }
     }
   }
-  // Archive GC rides the same idle window (DESIGN.md §6): the barrier
-  // coordinator flattens every node's dominated pending notices and
-  // applies them to the canonical bases in one serial pass, and each
-  // node prunes its own dominated archive prefix after the window closes
-  // (mutex-guarded; nothing live references it).  Every node derives the
-  // same gc_due verdict from purely local state — gc_history holds
-  // min(completed barriers, lag) entries, so "history full" is exactly
-  // sync_phase_ >= lag — and the coordinator only appends to the history
-  // after the closing rendezvous.
-  const int gc_interval = shared_.config.gc_interval_barriers;
-  const auto gc_lag = static_cast<std::uint32_t>(
-      std::max(1, shared_.config.gc_lag_barriers));
-  const bool gc_due =
-      !hlrc_ && gc_interval > 0 && sync_phase_ >= gc_lag &&
-      (sync_phase_ + 1) % static_cast<std::uint32_t>(gc_interval) == 0;
-  bool gc_ran = false;
-  VectorClock gc_through;
-  if (gc_due) {
-    // Stable read: the coordinator appends to gc_history only after the
-    // closing rendezvous below, which happens-before every other node's
-    // next Arrive — so the deque is frozen while any node copies the front.
-    gc_through = shared_.gc_history.front();
-    // The archives are frozen too, so every node reaches the same verdict
-    // on whether any record is dominated (and so whether to prune).
-    for (ProcId p = 0; p < num_procs() && !gc_ran; ++p) {
-      const Seq first = shared_.archives[p]->min_retained_seq();
-      gc_ran = first != 0 && first <= gc_through[p];
+  // The rest of the window belongs to the barrier coordinator.  Every peer
+  // is parked between Arrive and Rendezvous, so nobody appends, flushes,
+  // fetches or collects notices while it trims the archives, and the
+  // archive peaks depend on the program alone.  LRC runs the archive GC
+  // (DESIGN.md §6).  HLRC records are notice-only metadata: under an armed
+  // schedule the coordinator first flips crash-driven re-home batches into
+  // the shared override table, at a point every node passes together,
+  // then prunes every record that every other node has already processed.
+  // `min_seen` is the floor the barrier manager folded from the arrivers'
+  // notices_seen_ clocks, which stay frozen until the Rendezvous releases
+  // them (DESIGN.md §8).
+  if (id_ == res.coordinator) {
+    if (!hlrc_) {
+      CollectGarbage(res.global_vc);
+    } else {
+      if (shared_.fault != nullptr) shared_.ApplyPendingRehomes();
+      PruneArchives(res.min_seen);
     }
-    if (gc_ran && id_ == res.coordinator) {
-      // GC role: normally proc 0; migrated to the lowest surviving rank
-      // for a barrier whose schedule kills proc 0 (the about-to-crash
-      // victim's pass would die with it) and back once the victim has
-      // rebuilt.
-      GcFlatten(gc_through);
-      GcApply();
-      // Checkpoint watermark (DESIGN.md §9): everything <= gc_through is
-      // now in the bases.  Published before the closing rendezvous, which
-      // happens-before any recovery read of it.
-      if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
-      ++shared_.gc_passes;
-    }
-  }
-  // HLRC rides the same idle window for its notice-log watermark prune
-  // (and, under an armed schedule, for flipping crash-driven re-home
-  // batches into the shared override table at a point every node passes
-  // together): every peer is parked between Arrive and Rendezvous, so
-  // their notices_seen_ clocks are frozen and nobody can be flushing,
-  // fetching, or collecting while the coordinator works.
-  if (hlrc_ && id_ == res.coordinator) {
-    if (shared_.fault != nullptr) shared_.ApplyPendingRehomes();
-    HlrcPruneNotices(res.min_seen);
   }
   shared_.barrier->Rendezvous();
-  // History maintenance after the rendezvous: ordered after every
-  // gc_through copy above and before any node's next barrier (its next
-  // Arrive cannot complete before the coordinator's, which follows this
-  // push).
-  if (id_ == res.coordinator && gc_interval > 0 && !hlrc_) {
-    shared_.gc_history.push_back(res.global_vc);
-    while (shared_.gc_history.size() > gc_lag) {
-      shared_.gc_history.pop_front();
-    }
-  }
-  if (gc_ran) GcPruneOwn(gc_through);
   if (shared_.fault != nullptr) {
     const int ev = shared_.fault->MatchAtBarrier(id_, sync_phase_);
     if (ev >= 0) {
@@ -1563,16 +1462,7 @@ void Node::Barrier() {
   // nodes aligned at phase entry, mirroring gc-free barrier programs).
   lock_subphase_ = 0;
 
-  std::size_t incoming_bytes = 0;
-  std::vector<const IntervalRecord*>& records = notice_scratch_;
-  CollectNotices(res.global_vc, &incoming_bytes, records);
-  // Sparse-clock telemetry (DESIGN.md §8): wire bytes the consumed
-  // notices' interval clocks would cost, run-length encoded vs dense.
-  for (const IntervalRecord* rec : records) {
-    comm_stats_.counters().notice_clock_bytes += rec->vc.EncodedBytes();
-  }
-  comm_stats_.counters().notice_clock_bytes_dense +=
-      records.size() * VectorClock::DenseEncodedBytes(num_procs());
+  const std::size_t incoming_bytes = CollectNotices(res.global_vc);
 
   // Modelled barrier cost (centralized manager, normally proc 0 — the
   // coordinator when proc 0 crashes at this barrier): all clients ship
@@ -1591,13 +1481,7 @@ void Node::Barrier() {
     comm_stats_.counters().sync_messages += 2;
   }
   clock_.AdvanceTo(release_time);
-
-  InvalidateFrom(records);
-  vc_.Merge(res.global_vc);
-
-  if (shared_.config.aggregation == AggregationMode::kDynamic) {
-    aggregator_.OnSynchronization();
-  }
+  InvalidateFrom(res.global_vc);
 }
 
 void Node::AcquireLock(int lock_id) {
@@ -1636,14 +1520,7 @@ void Node::AcquireLock(int lock_id) {
 
   VectorClock target = vc_;
   target.Merge(grant.release_vc);
-  std::size_t notice_bytes = 0;
-  std::vector<const IntervalRecord*>& records = notice_scratch_;
-  CollectNotices(target, &notice_bytes, records);
-  for (const IntervalRecord* rec : records) {
-    comm_stats_.counters().notice_clock_bytes += rec->vc.EncodedBytes();
-  }
-  comm_stats_.counters().notice_clock_bytes_dense +=
-      records.size() * VectorClock::DenseEncodedBytes(num_procs());
+  const std::size_t notice_bytes = CollectNotices(target);
 
   // Request travels to the manager/holder; the grant returns with the
   // write notices the acquirer has not yet seen.  The grant cannot arrive
@@ -1654,13 +1531,7 @@ void Node::AcquireLock(int lock_id) {
   net_stats_.Record(MessageKind::kLockRequest, 16);
   net_stats_.Record(MessageKind::kLockGrant, 16 + notice_bytes);
   comm_stats_.counters().sync_messages += 2;
-
-  InvalidateFrom(records);
-  vc_.Merge(target);
-
-  if (shared_.config.aggregation == AggregationMode::kDynamic) {
-    aggregator_.OnSynchronization();
-  }
+  InvalidateFrom(target);
 }
 
 void Node::ReleaseLock(int lock_id) {

@@ -64,8 +64,9 @@ struct SharedState {
   // of reclaimed intervals, archive footprint telemetry, and the flatten
   // target — the global vector clock of the last completed barrier, which
   // every node has fully processed by the time the next barrier's idle
-  // window opens.  Only the barrier coordinator appends to gc_history and
-  // counts gc_passes; it also runs the whole pass inside that window.
+  // window opens.  Only the barrier coordinator reads and appends to
+  // gc_history and counts gc_passes; it runs the whole pass, prune
+  // included, inside that window.
   std::unique_ptr<CanonicalStore> canonical;
   ArchiveTelemetry archive_telemetry;
   // Global clocks of the most recent gc_lag_barriers completed barriers,
@@ -140,14 +141,11 @@ struct SharedState {
   // post-barrier EffectiveHome read via the closing rendezvous.
   void ApplyPendingRehomes();
 
-  // Home node of `unit` under kHlrc: round-robin over processors in
-  // blocks of config.hlrc_home_block_units units.  This is the static
-  // base map; EffectiveHome folds in crash-driven overrides.
+  // Home node of `unit` under kHlrc: units interleaved round-robin over
+  // processors.  This is the static base map; EffectiveHome folds in
+  // crash-driven overrides.
   ProcId HomeOf(UnitId unit) const {
-    const auto block =
-        static_cast<UnitId>(std::max(1, config.hlrc_home_block_units));
-    return static_cast<ProcId>((unit / block) %
-                               static_cast<UnitId>(config.num_procs));
+    return static_cast<ProcId>(unit % static_cast<UnitId>(config.num_procs));
   }
 
   // HomeOf plus the per-unit crash override table.
@@ -159,22 +157,20 @@ struct SharedState {
     return HomeOf(unit);
   }
 
-  // New home for `unit` after home `dead` crashed: the HomeOf block map
-  // re-run over the surviving ranks (the dead rank excised, ranks above
-  // shifted down) — deterministic, communication-free, and as balanced as
-  // the primary map.
+  // New home for `unit` after home `dead` crashed: the HomeOf map re-run
+  // over the surviving ranks (the dead rank excised, ranks above shifted
+  // down) — deterministic, communication-free, and as balanced as the
+  // primary map.
   ProcId RehomeTarget(UnitId unit, ProcId dead) const {
-    const auto block =
-        static_cast<UnitId>(std::max(1, config.hlrc_home_block_units));
     const ProcId h = static_cast<ProcId>(
-        (unit / block) % static_cast<UnitId>(config.num_procs - 1));
+        unit % static_cast<UnitId>(config.num_procs - 1));
     return h >= dead ? h + 1 : h;
   }
 
   // Barrier coordinator for `sync_phase`: proc 0 unless an at-barrier
   // event kills it at that phase, in which case the lowest surviving rank
-  // assumes the coordinator roles (serial GC, checkpoint watermark, HLRC
-  // watermark prune, re-home apply, barrier-manager cost asymmetry) for
+  // assumes the coordinator roles (archive GC and every archive prune,
+  // checkpoint watermark, re-home apply, barrier-manager cost asymmetry) for
   // exactly that barrier.  A pure function of the armed schedule and the
   // phase, so every node computes the same answer with no communication;
   // always 0 when no schedule is armed.
@@ -225,8 +221,10 @@ class Node {
   std::byte* image() { return data_; }
   IntervalArchive& archive() { return *shared_.archives[id_]; }
 
-  // Close the current open interval (normally driven by release/barrier;
-  // public for tests and for Runtime teardown).
+  // Close the current open interval, diffing every dirty unit and
+  // archiving its write notices — the one release path of both protocol
+  // backends (normally driven by release/barrier; public for tests and for
+  // Runtime teardown).
   void CloseInterval();
 
   // Flattened (reclaimed-history) chains pending for `unit` on this node —
@@ -266,8 +264,8 @@ class Node {
     return {data_ + shared_.heap.UnitBase(unit), unit_bytes_};
   }
 
-  // Accesses spanning multiple consistency units (rare): the per-unit
-  // chunk loop behind the inline single-unit fast path.
+  // Accesses spanning multiple consistency units: split into per-unit
+  // chunks, each taking the inline single-unit fast path.
   void ReadBytesSlow(GlobalAddr addr, void* out, std::size_t bytes);
   void WriteBytesSlow(GlobalAddr addr, const void* in, std::size_t bytes);
 
@@ -284,16 +282,19 @@ class Node {
   void ValidateUnit(UnitId unit);
 
   // Barrier-epoch archive GC (DESIGN.md §6), run by the barrier
-  // coordinator inside the extended idle window: flatten the dominated
-  // pending notices of every node for every unit, then apply the
-  // referenced diffs to the canonical bases and run the base
-  // release-check.  GcPruneOwn reclaims this node's own dominated
-  // archive prefix; it is safe to run concurrently with resumed
-  // application threads (archives are mutex-guarded and no live
-  // reference to a dominated record can exist).
+  // coordinator inside the extended idle window.  CollectGarbage decides
+  // whether a pass is due and records the barrier's global clock in
+  // gc_history; a pass flattens the dominated pending notices of every
+  // node for every unit (GcFlatten), applies the referenced diffs to the
+  // canonical bases and runs the base release-check (GcApply), and prunes
+  // every archive's dominated prefix.
+  void CollectGarbage(const VectorClock& global_vc);
   void GcFlatten(const VectorClock& through);
   void GcApply();
-  void GcPruneOwn(const VectorClock& through);
+  // Drop every record with seq <= through[p] from archive p.  Coordinator
+  // only, inside the barrier window, where nothing appends or reads: the
+  // LRC GC's pass 3, and HLRC's whole notice-log story.
+  void PruneArchives(const VectorClock& through);
   // One flatten pass's state and its named phases (protocol.cc).
   struct GcPass;
 
@@ -310,28 +311,16 @@ class Node {
   void FetchUnits(const std::vector<UnitId>& units);
 
   // --- home-based LRC (BackendKind::kHlrc, DESIGN.md §7) -------------------
-  // Close the open interval by eagerly diffing every dirty unit and
-  // flushing the diffs to the units' homes (one combined message per
-  // remote home, answered in parallel), then archive a notice-only
-  // interval record (units + clock, empty diffs — the payload lives at
-  // the homes now).
-  void HlrcFlushInterval();
+  // The release's flush messages: one combined exchange per remote home
+  // CloseInterval accumulated in hlrc_flush_bytes_/hlrc_flush_server_
+  // (homes answer in parallel; the releaser waits for the slowest ack).
+  void HlrcFlushExchange();
 
   // Resolve the invalid `units` by fetching whole-unit copies from their
   // homes (one combined exchange per remote home; self-homed units are a
   // local copy).  Local uncommitted modifications (a live twin) are laid
   // back on top, mirroring the LRC fault path's image+twin discipline.
   void HlrcFetchUnits(const std::vector<UnitId>& units);
-
-  // Barrier-window notice-log maintenance (proc 0, inside the idle
-  // window): prune every archived notice record that every other node has
-  // already processed — the HLRC counterpart of the LRC archive GC,
-  // trivial because the records are metadata-only.  `min_seen` is the
-  // barrier-aggregated floor of the peers' notices_seen_ clocks
-  // (min_seen[p] = min over q != p of notices_seen_q[p], accumulated by
-  // BarrierService::Arrive), which replaces the old O(num_procs²)
-  // all-pairs scan over the parked nodes (DESIGN.md §8).
-  void HlrcPruneNotices(const VectorClock& min_seen);
 
   // HLRC home-crash re-homing (DESIGN.md §9): if re-home batches were
   // applied since this node's last home contact, its next exchange is
@@ -365,15 +354,17 @@ class Node {
            !shared_.virgin_history[unit].chains.empty();
   }
 
-  // Collect archive records newly covered by `target` (all procs except
-  // self), in (proc, seq) order, into `out` (cleared first; callers pass
-  // the reusable notice_scratch_).  Also reports their total write-notice
-  // payload size.
-  void CollectNotices(const VectorClock& target, std::size_t* notice_bytes,
-                      std::vector<const IntervalRecord*>& out) const;
-
-  // Invalidate the units named in `records` and queue pending notices.
-  void InvalidateFrom(const std::vector<const IntervalRecord*>& records);
+  // Notice intake of an acquire (lock or barrier), in two halves around
+  // the synchronization's own timing.  CollectNotices gathers the archive
+  // records `target` newly covers (every peer, in (proc, seq) order) into
+  // notice_scratch_, tallies the sparse-clock telemetry (DESIGN.md §8:
+  // the wire bytes of the notices' interval clocks, run-length vs dense),
+  // and returns their write-notice payload bytes.  InvalidateFrom then
+  // invalidates the named units, queues the pending notices, merges
+  // `target` into vc_ and tells the aggregator; it must follow the clock's
+  // AdvanceTo to the grant/release time.
+  std::size_t CollectNotices(const VectorClock& target);
+  void InvalidateFrom(const VectorClock& target);
 
   // Write-notice payload this node ships at a release (its own intervals
   // not yet sent), advancing last_sent_seq_.
@@ -492,24 +483,17 @@ class Node {
   std::vector<NeedEntry> apply_scratch_;              // FetchUnits
   std::vector<const Diff*> absorbed_scratch_;         // FetchUnits
   std::vector<UnitId> fetch_scratch_;                 // ValidateUnit
-  std::vector<const IntervalRecord*> notice_scratch_;  // Barrier/AcquireLock
+  std::vector<const IntervalRecord*> notice_scratch_;  // CollectNotices
   // HLRC scratch (empty vectors under the other backends): fault-time
   // unit lists grouped by home, and per-home flush message accounting.
   std::vector<std::vector<UnitId>> fetch_by_home_;     // HlrcFetchUnits
-  std::vector<std::size_t> hlrc_flush_bytes_;          // HlrcFlushInterval
-  std::vector<VirtualNanos> hlrc_flush_server_;        // HlrcFlushInterval
+  std::vector<std::size_t> hlrc_flush_bytes_;          // CloseInterval
+  std::vector<VirtualNanos> hlrc_flush_server_;        // CloseInterval
 
   // Archive GC (DESIGN.md §6): the (unit, record) references the flatten
   // phase routed to the canonical base, unit-ordered (flatten walks units
-  // ascending); consumed and cleared by GcApply.  vc_sum caches the
-  // happens-before sort key.
-  struct GcRef {
-    UnitId unit;
-    const IntervalRecord* rec;
-    int di;
-    std::uint64_t vc_sum;
-  };
-  std::vector<GcRef> gc_refs_;
+  // ascending); consumed and cleared by GcApply.
+  std::vector<DiffRef> gc_refs_;
 };
 
 // ---------------------------------------------------------------------------

@@ -64,41 +64,11 @@ const IntervalRecord* IntervalArchive::Find(Seq seq) const {
   std::lock_guard lock(mutex_);
   auto it = std::lower_bound(
       records_.begin(), records_.end(), seq,
-      [](const std::shared_ptr<IntervalRecord>& r, Seq s) {
+      [](const std::shared_ptr<const IntervalRecord>& r, Seq s) {
         return r->seq < s;
       });
   if (it == records_.end() || (*it)->seq != seq) return nullptr;
   return it->get();
-}
-
-std::vector<const IntervalRecord*> IntervalArchive::Range(Seq from,
-                                                          Seq to) const {
-  std::lock_guard lock(mutex_);
-  std::vector<const IntervalRecord*> out;
-  auto it = std::upper_bound(
-      records_.begin(), records_.end(), from,
-      [](Seq s, const std::shared_ptr<IntervalRecord>& r) {
-        return s < r->seq;
-      });
-  for (; it != records_.end() && (*it)->seq <= to; ++it) {
-    out.push_back(it->get());
-  }
-  return out;
-}
-
-std::vector<std::shared_ptr<const IntervalRecord>>
-IntervalArchive::RangeShared(Seq from, Seq to) const {
-  std::lock_guard lock(mutex_);
-  std::vector<std::shared_ptr<const IntervalRecord>> out;
-  auto it = std::upper_bound(
-      records_.begin(), records_.end(), from,
-      [](Seq s, const std::shared_ptr<IntervalRecord>& r) {
-        return s < r->seq;
-      });
-  for (; it != records_.end() && (*it)->seq <= to; ++it) {
-    out.push_back(*it);
-  }
-  return out;
 }
 
 std::size_t IntervalArchive::PruneThrough(Seq through) {

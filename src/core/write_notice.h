@@ -18,6 +18,7 @@
 // Identical chains pending at several nodes share one immutable ChainBody.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
@@ -94,6 +95,33 @@ struct IntervalRecord {
   // other's close-time clock covers this interval.
   bool HappenedBefore(const IntervalRecord& other) const {
     return other.vc.Covers(proc, seq);
+  }
+};
+
+// One archived diff to replay into a unit image: the archive GC's apply
+// into the canonical bases and crash recovery's log replay above the
+// checkpoint both visit these in operator< order — by unit, then in
+// happens-before order.  Clock sums give a cheap deterministic linear
+// extension: r happened-before q implies q.vc >= r.vc pointwise (covering
+// a seq means the covering clock was merged from the closing writer's
+// clock), strictly so in q's own component, hence sum(r.vc) < sum(q.vc).
+// Concurrent records tie-break by (proc, seq); race-free programs write
+// disjoint words in concurrent intervals, so the tie-break is unobservable
+// there.  The sum is computed once per record (deriving it inside the
+// comparator dominated the GC's sort on lock-heavy batches).
+struct DiffRef {
+  UnitId unit;
+  const IntervalRecord* rec;
+  int di;  // unit's index within rec->units
+  std::uint64_t vc_sum;
+
+  const Diff& diff() const { return rec->diffs[static_cast<std::size_t>(di)]; }
+
+  friend bool operator<(const DiffRef& a, const DiffRef& b) {
+    if (a.unit != b.unit) return a.unit < b.unit;
+    if (a.vc_sum != b.vc_sum) return a.vc_sum < b.vc_sum;
+    return a.rec->proc != b.rec->proc ? a.rec->proc < b.rec->proc
+                                      : a.rec->seq < b.rec->seq;
   }
 };
 
@@ -275,13 +303,20 @@ class IntervalArchive {
   // are never archived).
   const IntervalRecord* Find(Seq seq) const;
 
-  // All records with from < seq <= to, in increasing seq order.
-  std::vector<const IntervalRecord*> Range(Seq from, Seq to) const;
-
-  // Shared-ownership variant of Range (archive GC: single-record chains
-  // retain the reclaimed record itself).
-  std::vector<std::shared_ptr<const IntervalRecord>> RangeShared(
-      Seq from, Seq to) const;
+  // Visit every record with from < seq <= to, in increasing seq order, as
+  // its shared-ownership handle (archive GC: single-record chains retain
+  // the reclaimed record itself).  Runs under the archive mutex, so `fn`
+  // must not re-enter this archive.
+  template <typename Fn>
+  void ForEach(Seq from, Seq to, Fn&& fn) const {
+    std::lock_guard lock(mutex_);
+    auto it = std::upper_bound(
+        records_.begin(), records_.end(), from,
+        [](Seq s, const std::shared_ptr<const IntervalRecord>& r) {
+          return s < r->seq;
+        });
+    for (; it != records_.end() && (*it)->seq <= to; ++it) fn(*it);
+  }
 
   // Reclaim every record with seq <= through (always a prefix: seqs are
   // appended in increasing order).  Records survive reclamation exactly
@@ -291,7 +326,7 @@ class IntervalArchive {
   std::size_t PruneThrough(Seq through);
 
   // Smallest seq still archived (0 when empty) — pruned seqs can never be
-  // Find()/Range()d again.
+  // found or visited again.
   Seq min_retained_seq() const;
 
   void set_telemetry(ArchiveTelemetry* t) { telemetry_ = t; }
@@ -301,7 +336,7 @@ class IntervalArchive {
 
  private:
   mutable std::mutex mutex_;
-  std::deque<std::shared_ptr<IntervalRecord>> records_;
+  std::deque<std::shared_ptr<const IntervalRecord>> records_;
   ArchiveTelemetry* telemetry_ = nullptr;
 };
 

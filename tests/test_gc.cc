@@ -470,7 +470,8 @@ TEST(HlrcNoArchive, GcHooksStayOffForTheHomeBackend) {
 // GC — so bound it directly: after many barrier epochs, each node's
 // archive must hold only the last few notice records (everything every
 // consumer has seen is pruned), not one per interval ever closed.  A
-// broken HlrcPruneNotices is an unbounded host-memory leak that the
+// broken watermark prune (the coordinator's PruneArchives over the
+// barrier's min_seen floor) is an unbounded host-memory leak that the
 // telemetry counters (deliberately unhooked for HLRC) would never show.
 TEST(HlrcNoArchive, NoticeLogIsWatermarkPruned) {
   RuntimeConfig cfg;
@@ -534,6 +535,25 @@ TEST(GcBoundedArchive, MgsPeakLiveIntervalsDoNotScaleWithBarriers) {
   EXPECT_GT(on.gc_passes, 10u);
   EXPECT_GT(on.reclaimed_intervals, 100u);
   EXPECT_LT(on.peak_archive_bytes, off.peak_archive_bytes / 4);
+}
+
+// --- deterministic archive peaks ---------------------------------------------
+//
+// The barrier coordinator prunes every archive inside the barrier window,
+// where every peer is parked, so the live archive only grows between
+// windows and only shrinks inside them: its peaks are a function of the
+// program, not of host scheduling.  Barnes 16K at the 4K unit is the
+// bench_wallclock row whose peak bytes moved between back-to-back sweeps
+// while each node pruned its own archive after the window.
+TEST(GcDeterministicPeaks, BarnesPeaksArePinnedAcrossRuns) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 8;
+  for (int i = 0; i < 3; ++i) {
+    auto app = MakeApp("Barnes", "16K");
+    const MemoryFootprint m = Execute(*app, cfg).stats.mem;
+    EXPECT_EQ(m.peak_live_intervals, 24u) << "run " << i;
+    EXPECT_EQ(m.peak_archive_bytes, 479392u) << "run " << i;
+  }
 }
 
 // --- HLRC value-identical rewrites -------------------------------------------

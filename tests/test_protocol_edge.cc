@@ -459,10 +459,6 @@ TEST(ConfigValidation, RejectsBadServiceKnobs) {
   ExpectRejected(cfg, "gc_interval_barriers");
 
   cfg = Config(2);
-  cfg.hlrc_home_block_units = 0;
-  ExpectRejected(cfg, "hlrc_home_block_units");
-
-  cfg = Config(2);
   cfg.num_locks = 0;
   ExpectRejected(cfg, "num_locks");
 }
