@@ -1,9 +1,9 @@
 // Host-side throughput of the twin/diff machinery (the simulator's hot
 // paths): diff creation, application, and merge across unit sizes and
 // modification densities, plus the usefulness tracker's delivery of the
-// words a diff or home fetch brings in.  The *Row cases take the MGS
-// false-sharing shape (a 16K unit holding four 1024-word rows, one per
-// proc) and measure what the block summaries save.
+// words a diff or home fetch brings in and the reads that consume them.
+// The *Row cases take the MGS false-sharing shape (a 16K unit holding four
+// 1024-word rows, one per proc).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -165,8 +165,8 @@ constexpr std::uint32_t kMgsUnitWords = 4096;  // 16K unit
 constexpr std::uint32_t kMgsRowWords = 1024;   // four rows per unit
 
 // The owner's span read of its own row in a unit whose three foreign rows
-// a fault delivered and nobody reads: the tags stay live, so every read
-// consults the block summary, which proves the own row tag-free.
+// a fault delivered and nobody reads: the unit stays live, so every read
+// walks the own row's 16 groups and finds no fresh bit.
 void BM_WordTrackerOwnRowRead(benchmark::State& state) {
   WordTracker tracker(1, kMgsUnitWords);
   for (std::uint32_t r = 1; r < 4; ++r) {
@@ -174,13 +174,37 @@ void BM_WordTrackerOwnRowRead(benchmark::State& state) {
   }
   std::uint64_t credits = 0;
   for (auto _ : state) {
-    tracker.OnRead(0, 0, kMgsRowWords, [&](std::uint32_t) { ++credits; });
+    tracker.OnRead(
+        0, 0, kMgsRowWords,
+        [&](std::uint32_t, std::uint32_t words) { credits += words; });
     benchmark::DoNotOptimize(credits);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           std::int64_t{kMgsRowWords * kWordBytes});
 }
 BENCHMARK(BM_WordTrackerOwnRowRead);
+
+// The ILINK shape: a home fetch delivers a whole 4K unit, then the reader
+// walks it at stride 4 with per-element accesses of 1 and 2 words, which
+// take the direct bit-test path.  One iteration = one delivery plus one
+// pass; bytes processed = words read.
+void BM_WordTrackerElementRead(benchmark::State& state) {
+  constexpr std::uint32_t kWords = 1024;  // 4K unit
+  WordTracker tracker(1, kWords);
+  std::uint32_t msg = 0;
+  std::uint64_t credits = 0;
+  auto credit = [&](std::uint32_t, std::uint32_t words) { credits += words; };
+  for (auto _ : state) {
+    tracker.Deliver(0, 0, kWords, msg++);
+    for (std::uint32_t w = 0; w + 2 <= kWords; w += 4) {
+      tracker.OnRead(0, w, 1 + (w / 4) % 2, credit);
+    }
+    benchmark::DoNotOptimize(credits);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          std::int64_t{kWords / 4 * 3 / 2 * kWordBytes});
+}
+BENCHMARK(BM_WordTrackerElementRead);
 
 // Release-time twin scan of a 16K unit whose writer rewrote one 4K row
 // (every word changed): Arg 0 scans the whole unit, Arg 1 only the row's

@@ -17,6 +17,7 @@
 // binary a before/after gate for performance work.  Results land in
 // BENCH_wallclock.json at the repository root (override with --out=PATH)
 // so the perf trajectory is tracked from PR to PR.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -162,7 +163,11 @@ struct Row {
   // (like mem), which must stay bit-identical to a --race=off sweep.
   bool race_checked = false;
   std::uint64_t races = 0;
+  // Host wall-clock: the median of the row's --repeat timings, with the
+  // fastest and slowest (all three equal for a row timed once).
   double wall_ms = 0;
+  double wall_ms_min = 0;
+  double wall_ms_max = 0;
   double modelled_ms = 0;
   double result = 0;
   std::uint64_t fingerprint = 0;
@@ -187,7 +192,8 @@ void Usage(std::FILE* f) {
       "                       [--mode=SUBSTR] [--backend=LRC|HLRC]\n"
       "                       [--fault=EVENT[+EVENT...]|seed:S]\n"
       "                       [--fault-sweep] [--kv-sweep] [--race=on|off] "
-      "[--out=PATH] [--baseline=PATH]\n"
+      "[--repeat=N]\n"
+      "                       [--out=PATH] [--baseline=PATH]\n"
       "  EVENT is barrier:V@N (kill proc V at its N-th barrier) or\n"
       "  release:V@M (kill proc V after its M-th interval close); '+'\n"
       "  chains events into an ordered multi-fault schedule.  Any victim\n"
@@ -200,7 +206,10 @@ void Usage(std::FILE* f) {
       "  requests/sec per row.  --race=on runs the sweep under\n"
       "  the happens-before race checker (DESIGN.md §10): host wall-clock\n"
       "  pays for the shadow analysis, modelled numbers and fingerprints\n"
-      "  are bit-identical to --race=off.\n");
+      "  are bit-identical to --race=off.  --repeat=N times every stable\n"
+      "  row N times (default 1) and reports the median wall-clock with\n"
+      "  its min and max; every repeat must reproduce the row's modelled\n"
+      "  state.  Lock-program rows run once.\n");
 }
 
 // --race takes exactly "on" or "off" — the same whole-token strictness as
@@ -334,6 +343,8 @@ Row RunCell(const BenchScenario& s, const ModePoint& mode,
   row.stable = s.stable;
   row.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
+  row.wall_ms_min = row.wall_ms;
+  row.wall_ms_max = row.wall_ms;
   row.modelled_ms = run.stats.exec_seconds() * 1e3;
   row.result = run.result;
   row.fingerprint = ModelledFingerprint(run.result, run.stats);
@@ -458,8 +469,9 @@ std::vector<BaselineRow> ReadBaseline(const std::string& path) {
 }
 
 // Gate: every stable row's modelled state (kModelledKeys) must match the
-// committed baseline exactly, and its host wall-clock must stay within
-// `tolerance` (fractional) of it.  Unstable rows (lock programs) and rows
+// committed baseline exactly, and its host wall-clock (the median of its
+// --repeat timings) must stay within `tolerance` (fractional) of it.
+// Unstable rows (lock programs) and rows
 // missing from the baseline are reported but never gate — but KV rows
 // gate on their CHECKSUM instead: the commuting-checksum construction
 // makes the result exact under any lock schedule, so a moved KV result is
@@ -589,7 +601,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
         f,
         "    {\"app\": \"%s\", \"dataset\": \"%s\", \"mode\": "
         "\"%s\", \"backend\": \"%s\", %s\"procs\": %d, \"stable\": %s, "
-        "\"wall_ms\": %.3f, "
+        "\"wall_ms\": %.3f, \"wall_ms_min\": %.3f, \"wall_ms_max\": %.3f, "
         "\"modelled_ms\": %.6f, \"result\": %.17g, "
         "\"fingerprint\": \"%016llx\", "
         "\"peak_live_intervals\": %llu, \"peak_archive_bytes\": %llu, "
@@ -598,7 +610,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
         "\"chains_shared\": %llu}%s\n",
         r.app.c_str(), r.dataset.c_str(), r.mode.c_str(), r.backend.c_str(),
         fault_field.c_str(), r.procs, r.stable ? "true" : "false", r.wall_ms,
-        r.modelled_ms,
+        r.wall_ms_min, r.wall_ms_max, r.modelled_ms,
         r.result,
         static_cast<unsigned long long>(r.fingerprint),
         static_cast<unsigned long long>(r.mem.peak_live_intervals),
@@ -633,6 +645,7 @@ int main(int argc, char** argv) {
   bool kv_sweep_only = false;
   bool race_check = false;
   bool explicit_out = false;
+  int repeat = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
@@ -670,6 +683,8 @@ int main(int argc, char** argv) {
       kv_sweep_only = true;
     } else if (std::strncmp(argv[i], "--race=", 7) == 0) {
       race_check = ParseRaceFlag(argv[i] + 7);
+    } else if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
+      repeat = ParseCount("--repeat", argv[i] + 9, 1);
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
       Usage(stderr);
@@ -689,6 +704,7 @@ int main(int argc, char** argv) {
               "modelled(ms)", "fingerprint", "stable", "peak_ivals",
               "peak_arch_KB");
   bool warmed_up = false;
+  int repeat_mismatches = 0;
   auto run_and_print = [&](const BenchScenario& s, const ModePoint& mode,
                            const BackendPoint& backend, int np,
                            const FaultSpec& fault, int gc_lag = 0) {
@@ -703,6 +719,31 @@ int main(int argc, char** argv) {
     }
     Row row = RunCell(s, mode, backend, np, gc_interval, fault, gc_lag,
                       race_check);
+    // Stable rows are timed `repeat` times; lock programs run once, since
+    // their modelled state follows host scheduling.
+    if (row.stable && repeat > 1) {
+      std::vector<double> walls = {row.wall_ms};
+      const std::vector<std::string> modelled = ModelledValues(row);
+      for (int k = 1; k < repeat; ++k) {
+        const Row again = RunCell(s, mode, backend, np, gc_interval, fault,
+                                  gc_lag, race_check);
+        walls.push_back(again.wall_ms);
+        if (ModelledValues(again) != modelled) {
+          ++repeat_mismatches;
+          std::printf("repeat %d of %s/%s/%s/%s/p%d: modelled state differs "
+                      "from the first run  REPEAT MISMATCH\n",
+                      k + 1, row.app.c_str(), row.dataset.c_str(),
+                      row.mode.c_str(), row.backend.c_str(), row.procs);
+        }
+      }
+      std::sort(walls.begin(), walls.end());
+      const std::size_t mid = walls.size() / 2;
+      row.wall_ms = walls.size() % 2 == 1
+                        ? walls[mid]
+                        : (walls[mid - 1] + walls[mid]) / 2;
+      row.wall_ms_min = walls.front();
+      row.wall_ms_max = walls.back();
+    }
     std::printf(
         "%-8s %-10s %-4s %-4s %5d %10.1f %14.3f  %016llx %-6s %12llu "
         "%14llu%s%s",
@@ -721,6 +762,9 @@ int main(int argc, char** argv) {
                   row.recovery_ms,
                   static_cast<unsigned long long>(row.recovery_bytes),
                   static_cast<unsigned long long>(row.recovery_retransmits));
+    }
+    if (row.wall_ms_max > row.wall_ms_min) {
+      std::printf("  wall=[%.1f, %.1f]", row.wall_ms_min, row.wall_ms_max);
     }
     if (row.kv_requests > 0) {
       std::printf("  req=%llu modelled_req/s=%.0f",
@@ -843,6 +887,11 @@ int main(int argc, char** argv) {
                 out.c_str());
   } else {
     WriteJson(rows, out);
+  }
+  if (repeat_mismatches > 0) {
+    std::printf("%d repeat(s) did not reproduce their row's modelled state\n",
+                repeat_mismatches);
+    return 1;
   }
   if (!baseline_path.empty()) {
     if (baseline.empty()) {

@@ -135,9 +135,9 @@ class CommStats {
 
   void AddDelivered(std::uint32_t exchange_id, std::uint32_t words,
                     std::uint32_t payload_bytes);
-  // One delivered word was read before being overwritten.
-  void Credit(std::uint32_t exchange_id) {
-    exchanges_[exchange_id].useful_words += 1;
+  // `words` delivered words were read before being overwritten.
+  void Credit(std::uint32_t exchange_id, std::uint32_t words) {
+    exchanges_[exchange_id].useful_words += words;
   }
 
   // A fault contacted `num_writers` distinct writers whose exchanges are

@@ -79,10 +79,10 @@ SharedState::SharedState(const RuntimeConfig& cfg)
   for (int p = 0; p < cfg.num_procs; ++p) {
     archives.push_back(std::make_unique<IntervalArchive>());
     // The telemetry reports the LRC diff archive the GC keeps bounded.
-    // HLRC records are notice-only metadata pruned by a seen-everywhere
-    // watermark (HlrcPruneNotices) — hooking them up would report a
-    // phantom archive for a backend that has none, and the reference
-    // backend never archives at all.
+    // HLRC records are notice-only metadata that the barrier coordinator's
+    // PruneArchives trims to a seen-everywhere watermark — hooking them up
+    // would report a phantom archive for a backend that has none, and the
+    // reference backend never archives at all.
     if (cfg.backend == BackendKind::kLrc) {
       archives.back()->set_telemetry(&archive_telemetry);
     }

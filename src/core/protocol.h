@@ -213,7 +213,7 @@ class Node {
   CommStats& comm_stats() { return comm_stats_; }
   NetStats& net_stats() { return net_stats_; }
   PageTable& page_table() { return table_; }
-  WordTracker& word_tracker() { return tracker_; }
+  const WordTracker& word_tracker() const { return tracker_; }
   const VectorClock& vector_clock() const { return vc_; }
   DynamicAggregator& aggregator() { return aggregator_; }
   // The memory this node's accesses hit: its private image under LRC, the
@@ -516,7 +516,9 @@ inline void Node::ReadBytes(GlobalAddr addr, void* out, std::size_t bytes) {
       tracker_.OnRead(unit,
                       static_cast<std::uint32_t>(offset_in_unit / kWordBytes),
                       static_cast<std::uint32_t>(bytes / kWordBytes),
-                      [this](std::uint32_t msg) { comm_stats_.Credit(msg); });
+                      [this](std::uint32_t msg, std::uint32_t words) {
+                        comm_stats_.Credit(msg, words);
+                      });
     }
     if (race_ != nullptr) [[unlikely]] {
       RaceOnAccess(unit, offset_in_unit, bytes, /*is_write=*/false);

@@ -20,6 +20,7 @@ std::string RunStats::ToString() const {
   if (races.checked) out << races.ToString();
   out << comm.ToString();
   out << "network:\n" << net.ToString();
+  out << "host memory: word tracker " << mem.tracker_bytes << " bytes\n";
   return out.str();
 }
 
@@ -69,6 +70,7 @@ RunStats Runtime::CollectStats() const {
     stats.exec_time = std::max(stats.exec_time, node->clock().now());
     stats.comm.Merge(node->comm_stats().Finalize());
     stats.net.Merge(node->net_stats());
+    stats.mem.tracker_bytes += node->word_tracker().bytes();
   }
   const ArchiveTelemetry& t = shared_.archive_telemetry;
   stats.mem.peak_live_intervals =

@@ -151,6 +151,9 @@ struct MemoryFootprint {
   // chains).
   std::uint64_t chains_built = 0;
   std::uint64_t chains_shared = 0;
+  // Usefulness instrumentation (mem/word_tracker.h): group and slab bytes
+  // the nodes' WordTrackers hold at the end of the run, summed over nodes.
+  std::uint64_t tracker_bytes = 0;
   // Always 0: nothing counts it.  Kept only because the benchmark
   // harness (perfbench/) still reports it as gc.records_elided; delete it
   // together with that counter.

@@ -5,10 +5,10 @@
 // at 4K units, 64 at 16K.  The block size is the smallest power of two
 // that fits the unit into 64 blocks, so a unit whose word count is not a
 // multiple of 64 ends in a partial block (and, when the size is not a
-// power of two, leaves the top bits unused).  WordTracker keeps one
-// summary per unit of the blocks that may hold a fresh tag; Node keeps
-// one of the blocks written since the twin was taken, which bounds the
-// release-time twin scan (Diff::Create).
+// power of two, leaves the top bits unused).  Node keeps one summary per
+// unit of the blocks written since the twin was taken, which bounds the
+// release-time twin scan (Diff::Create).  WordTracker's 64-word groups
+// take their bit counts from Popcount below.
 #pragma once
 
 #include <bit>
@@ -37,6 +37,15 @@ constexpr std::uint64_t BlockMask(std::size_t first_word, std::size_t count,
   // Bits lo..hi; at hi == 63 the left term wraps to 0, which still
   // leaves exactly bits lo..63.
   return (std::uint64_t{2} << hi) - (std::uint64_t{1} << lo);
+}
+
+// Bits set in `x`.  The build targets baseline x86-64 (no -mpopcnt), where
+// std::popcount compiles to a call into libgcc; this inlines.
+constexpr int Popcount(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555u;
+  x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+  return static_cast<int>((x * 0x0101010101010101u) >> 56);
 }
 
 }  // namespace dsm

@@ -556,6 +556,21 @@ TEST(GcDeterministicPeaks, BarnesPeaksArePinnedAcrossRuns) {
   }
 }
 
+// The usefulness tracker's host storage (MemoryFootprint::tracker_bytes)
+// for one barrier configuration: MGS tiny, 16K units, 4 procs, LRC.  Each
+// tracked 16K unit holds 64 groups of 16 bytes, plus whatever slab chunks
+// the mixed groups took; one uint32 tag per word would be 16 KiB a unit.
+TEST(HostFootprint, MgsTrackerBytesArePinned) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 4;
+  cfg.pages_per_unit = 4;
+  for (int i = 0; i < 2; ++i) {
+    auto app = MakeApp("MGS", "tiny");
+    EXPECT_EQ(Execute(*app, cfg).stats.mem.tracker_bytes, 102400u)
+        << "run " << i;
+  }
+}
+
 // --- HLRC value-identical rewrites -------------------------------------------
 //
 // The release-time twin scan is bounded by the written-block summary, but

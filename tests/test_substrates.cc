@@ -247,10 +247,11 @@ TEST(WordTracker, CreditOnFirstReadOnly) {
   WordTracker tracker(2, 1024);
   tracker.Deliver(0, 5, 1, /*msg_id=*/3);
   int credited = -1;
-  tracker.OnRead(0, 5, 1, [&](std::uint32_t m) { credited = (int)m; });
+  auto credit = [&](std::uint32_t m, std::uint32_t) { credited = (int)m; };
+  tracker.OnRead(0, 5, 1, credit);
   EXPECT_EQ(credited, 3);
   credited = -1;
-  tracker.OnRead(0, 5, 1, [&](std::uint32_t m) { credited = (int)m; });
+  tracker.OnRead(0, 5, 1, credit);
   EXPECT_EQ(credited, -1);  // only the first read credits
 }
 
@@ -259,7 +260,8 @@ TEST(WordTracker, OverwriteKillsCredit) {
   tracker.Deliver(0, 7, 1, 1);
   tracker.OnWrite(0, 7, 1);
   int credited = -1;
-  tracker.OnRead(0, 7, 1, [&](std::uint32_t m) { credited = (int)m; });
+  tracker.OnRead(0, 7, 1,
+                 [&](std::uint32_t m, std::uint32_t) { credited = (int)m; });
   EXPECT_EQ(credited, -1);
 }
 
@@ -268,15 +270,17 @@ TEST(WordTracker, RedeliveryRetags) {
   tracker.Deliver(0, 9, 1, 1);
   tracker.Deliver(0, 9, 1, 2);  // newer message overwrites the tag
   std::vector<std::uint32_t> credits;
-  tracker.OnRead(0, 9, 1, [&](std::uint32_t m) { credits.push_back(m); });
+  tracker.OnRead(0, 9, 1,
+                 [&](std::uint32_t m, std::uint32_t) { credits.push_back(m); });
   EXPECT_EQ(credits, (std::vector<std::uint32_t>{2}));
 }
 
 TEST(WordTracker, UntouchedUnitsCostNothing) {
   WordTracker tracker(8, 1024);
   EXPECT_FALSE(tracker.HasTracking(5));
+  EXPECT_EQ(tracker.bytes(), 0u);
   int calls = 0;
-  tracker.OnRead(5, 0, 64, [&](std::uint32_t) { ++calls; });
+  tracker.OnRead(5, 0, 64, [&](std::uint32_t, std::uint32_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -285,9 +289,10 @@ TEST(WordTracker, RangeReadCreditsEachFreshWord) {
   tracker.Deliver(0, 2, 1, 0);
   tracker.Deliver(0, 3, 1, 0);
   tracker.Deliver(0, 5, 1, 1);
-  int credits = 0;
-  tracker.OnRead(0, 0, 8, [&](std::uint32_t) { ++credits; });
-  EXPECT_EQ(credits, 3);
+  std::uint32_t credits = 0;
+  tracker.OnRead(0, 0, 8,
+                 [&](std::uint32_t, std::uint32_t words) { credits += words; });
+  EXPECT_EQ(credits, 3u);
 }
 
 // --- fresh-count bookkeeping (the OnRead/OnWrite early-out) -----------------
@@ -303,9 +308,10 @@ TEST(WordTracker, FreshCountReachesZeroAfterCreditsAndOverwrites) {
   tracker.OnWrite(0, 5, 1);  // one mark dies uncredited
   EXPECT_EQ(tracker.fresh_count(0), 2u);
 
-  int credits = 0;
-  tracker.OnRead(0, 0, 16, [&](std::uint32_t) { ++credits; });
-  EXPECT_EQ(credits, 2);
+  std::uint32_t credits = 0;
+  tracker.OnRead(0, 0, 16,
+                 [&](std::uint32_t, std::uint32_t words) { credits += words; });
+  EXPECT_EQ(credits, 2u);
   EXPECT_EQ(tracker.fresh_count(0), 0u);
 }
 
@@ -315,12 +321,12 @@ TEST(WordTracker, ExhaustedUnitTakesEarlyOutWithoutCredits) {
   tracker.OnWrite(0, 0, 64);
   ASSERT_EQ(tracker.fresh_count(0), 0u);
 
-  // The unit still has tag storage (HasTracking), but with no live fresh
-  // tag both hot paths return before touching it.
+  // The unit still has group storage (HasTracking), but with no live
+  // fresh word both hot paths return before touching it.
   EXPECT_TRUE(tracker.HasTracking(0));
-  int credits = 0;
-  tracker.OnRead(0, 0, 64, [&](std::uint32_t) { ++credits; });
-  EXPECT_EQ(credits, 0);
+  int calls = 0;
+  tracker.OnRead(0, 0, 64, [&](std::uint32_t, std::uint32_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
   tracker.OnWrite(0, 0, 64);  // must also be a no-op
   EXPECT_EQ(tracker.fresh_count(0), 0u);
 }
@@ -332,24 +338,26 @@ TEST(WordTracker, RedeliveryToFreshWordDoesNotDoubleCount) {
   EXPECT_EQ(tracker.fresh_count(0), 1u);
 
   std::vector<std::uint32_t> credits;
-  tracker.OnRead(0, 0, 64, [&](std::uint32_t m) { credits.push_back(m); });
+  tracker.OnRead(0, 0, 64,
+                 [&](std::uint32_t m, std::uint32_t) { credits.push_back(m); });
   EXPECT_EQ(credits, (std::vector<std::uint32_t>{2}));
   EXPECT_EQ(tracker.fresh_count(0), 0u);
 }
 
 TEST(WordTracker, ReadStopsAtLastLiveTagButStaysExact) {
-  // The early-break when the count hits zero must not skip credits: two
+  // The early stop when the count hits zero must not skip credits: two
   // fresh words read in one range call both credit.
   WordTracker tracker(1, 64);
   tracker.Deliver(0, 0, 1, 3);
   tracker.Deliver(0, 63, 1, 4);
   std::vector<std::uint32_t> credits;
-  tracker.OnRead(0, 0, 64, [&](std::uint32_t m) { credits.push_back(m); });
+  tracker.OnRead(0, 0, 64,
+                 [&](std::uint32_t m, std::uint32_t) { credits.push_back(m); });
   EXPECT_EQ(credits, (std::vector<std::uint32_t>{3, 4}));
   EXPECT_EQ(tracker.fresh_count(0), 0u);
 }
 
-// --- run-granular delivery against a per-word model ---------------------------
+// --- groups against a per-word model ----------------------------------------
 
 // Brute-force reference: one tag per word, delivered, read and overwritten
 // one word at a time (the paper's §5.3 rule with no fast paths).
@@ -382,134 +390,153 @@ struct WordTrackerModel {
   std::vector<std::vector<std::uint32_t>> tags;
 };
 
+// The tracker's (msg, words) credits expanded to one entry per word, the
+// model's form.
+auto ExpandCredits(std::vector<std::uint32_t>& out) {
+  return [&out](std::uint32_t msg, std::uint32_t words) {
+    ASSERT_GT(words, 0u);
+    out.insert(out.end(), words, msg);
+  };
+}
+
+// Every word's tag and every fresh count of `tracker` equal the model's.
+void ExpectSameTags(const WordTracker& tracker, const WordTrackerModel& model,
+                    std::uint32_t step) {
+  for (UnitId u = 0; u < model.tags.size(); ++u) {
+    ASSERT_EQ(tracker.fresh_count(u), model.Fresh(u))
+        << "step " << step << " unit " << u;
+    std::vector<std::uint32_t> tags(model.tags[u].size());
+    for (std::uint32_t w = 0; w < tags.size(); ++w) tags[w] = tracker.Tag(u, w);
+    ASSERT_EQ(tags, model.tags[u]) << "step " << step << " unit " << u;
+  }
+}
+
 // Seeded random deliveries (sparse runs, runs ending on the unit's last
 // word, whole-unit fills, redeliveries over fresh words), each followed by
 // a random local read or write.  After every step every tag, every fresh
 // count and the full credit sequence must equal the per-word model's.
 TEST(WordTracker, RunDeliveryMatchesPerWordModel) {
   constexpr std::size_t kUnits = 3;
-  constexpr std::uint32_t kWords = 64;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
-    Xoshiro256 rng(seed);
-    WordTracker tracker(kUnits, kWords);
-    WordTrackerModel model(kUnits, kWords);
-    std::vector<std::uint32_t> got, want;
-    int tail_runs = 0, partial_fills = 0, redeliveries = 0;
+  for (const std::uint32_t words : {64u, 1024u, 4096u, 8192u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << words << " words, seed " << seed);
+      Xoshiro256 rng(seed);
+      WordTracker tracker(kUnits, words);
+      WordTrackerModel model(kUnits, words);
+      std::vector<std::uint32_t> got, want;
+      int tail_runs = 0, partial_fills = 0, redeliveries = 0;
 
-    for (std::uint32_t step = 0; step < 400; ++step) {
-      const auto unit = static_cast<UnitId>(rng.UniformInt(kUnits));
-      std::uint32_t first = 0, count = kWords;
-      switch (rng.UniformInt(4)) {
-        case 0:  // sparse run anywhere
-          first = static_cast<std::uint32_t>(rng.UniformInt(kWords));
-          count = 1 + static_cast<std::uint32_t>(
-                          rng.UniformInt(std::min(8u, kWords - first)));
-          break;
-        case 1:  // run ending on the unit's last word
-          first = static_cast<std::uint32_t>(rng.UniformInt(kWords));
-          count = kWords - first;
-          ++tail_runs;
-          break;
-        case 2:  // whole-unit fill
-          if (const std::uint32_t f = model.Fresh(unit); f > 0 && f < kWords)
-            ++partial_fills;
-          break;
-        default: {  // redelivery over the first fresh word, if any
-          const auto& tags = model.tags[unit];
-          const auto it = std::find_if(tags.begin(), tags.end(),
-                                       [](std::uint32_t t) { return t != 0; });
-          if (it == tags.end()) continue;
-          first = static_cast<std::uint32_t>(it - tags.begin());
-          count = 1 + static_cast<std::uint32_t>(
-                          rng.UniformInt(kWords - first));
-          ++redeliveries;
-          break;
+      for (std::uint32_t step = 0; step < 200; ++step) {
+        const auto unit = static_cast<UnitId>(rng.UniformInt(kUnits));
+        std::uint32_t first = 0, count = words;
+        switch (rng.UniformInt(4)) {
+          case 0:  // sparse run anywhere
+            first = static_cast<std::uint32_t>(rng.UniformInt(words));
+            count = 1 + static_cast<std::uint32_t>(
+                            rng.UniformInt(std::min(8u, words - first)));
+            break;
+          case 1:  // run ending on the unit's last word
+            first = static_cast<std::uint32_t>(rng.UniformInt(words));
+            count = words - first;
+            ++tail_runs;
+            break;
+          case 2:  // whole-unit fill
+            if (const std::uint32_t f = model.Fresh(unit); f > 0 && f < words)
+              ++partial_fills;
+            break;
+          default: {  // redelivery over the first fresh word, if any
+            const auto& tags = model.tags[unit];
+            const auto it =
+                std::find_if(tags.begin(), tags.end(),
+                             [](std::uint32_t t) { return t != 0; });
+            if (it == tags.end()) continue;
+            first = static_cast<std::uint32_t>(it - tags.begin());
+            count = 1 + static_cast<std::uint32_t>(
+                            rng.UniformInt(std::min(words - first, 200u)));
+            ++redeliveries;
+            break;
+          }
         }
-      }
-      tracker.Deliver(unit, first, count, step);
-      model.Deliver(unit, first, count, step);
+        tracker.Deliver(unit, first, count, step);
+        model.Deliver(unit, first, count, step);
 
-      const auto local = static_cast<UnitId>(rng.UniformInt(kUnits));
-      const auto at = static_cast<std::uint32_t>(rng.UniformInt(kWords));
-      const auto len =
-          1 + static_cast<std::uint32_t>(rng.UniformInt(kWords - at));
-      if (rng.UniformInt(2) == 0) {
-        tracker.OnRead(local, at, len,
-                       [&](std::uint32_t m) { got.push_back(m); });
-        model.OnRead(local, at, len, want);
-      } else {
-        tracker.OnWrite(local, at, len);
-        model.OnWrite(local, at, len);
-      }
-
-      ASSERT_EQ(got, want) << "step " << step;
-      for (UnitId u = 0; u < kUnits; ++u) {
-        ASSERT_EQ(tracker.fresh_count(u), model.Fresh(u))
-            << "step " << step << " unit " << u;
-        for (std::uint32_t w = 0; w < kWords; ++w) {
-          ASSERT_EQ(tracker.Tag(u, w), model.tags[u][w])
-              << "step " << step << " unit " << u << " word " << w;
+        const auto local = static_cast<UnitId>(rng.UniformInt(kUnits));
+        const auto at = static_cast<std::uint32_t>(rng.UniformInt(words));
+        const auto len =
+            1 + static_cast<std::uint32_t>(rng.UniformInt(words - at));
+        if (rng.UniformInt(2) == 0) {
+          tracker.OnRead(local, at, len, ExpandCredits(got));
+          model.OnRead(local, at, len, want);
+        } else {
+          tracker.OnWrite(local, at, len);
+          model.OnWrite(local, at, len);
         }
+
+        ASSERT_EQ(got, want) << "step " << step;
+        ExpectSameTags(tracker, model, step);
+        if (testing::Test::HasFatalFailure()) return;
       }
+      // Each boundary case above was actually exercised.
+      EXPECT_GT(tail_runs, 0);
+      EXPECT_GT(partial_fills, 0);
+      EXPECT_GT(redeliveries, 0);
     }
-    // Each boundary case above was actually exercised.
-    EXPECT_GT(tail_runs, 0);
-    EXPECT_GT(partial_fills, 0);
-    EXPECT_GT(redeliveries, 0);
   }
 }
 
-// --- block summary against the per-word model --------------------------------
-
-// Seeded random spans against the per-word model at both summary
-// geometries the simulator uses (64 words = one word per block, 4096 words
-// = 64 words per block).  Deliveries (single runs, and a diff's run list
-// in one DeliverRuns call) and accesses straddle block boundaries, cover
-// partial blocks, exhaust the unit (whole-unit reads and writes) and
-// redeliver after exhaustion; per-element accesses (1 or 2 words)
-// exercise the exact path.  After every step the credit sequence
-// (hence the credits per message) and every fresh count must equal the
-// model's, and a clear summary bit must mean no live tag in its block.
-TEST(WordTracker, BlockSummaryMatchesPerWordModel) {
+// Seeded random spans against the per-word model at the group geometries
+// the simulator uses (64 words = one group, 1024 = a 4K unit, 4096 = a 16K
+// unit, 8192) and at 100 words (a partial last group).  Deliveries (single
+// runs, and a diff's run list in one DeliverRuns call) and accesses
+// straddle group boundaries, cover partial groups, exhaust the unit
+// (whole-unit reads and writes) and redeliver after exhaustion;
+// per-element accesses (1 or 2 words) exercise the direct path.  Diff runs
+// with gaps leave two messages' fresh words in one group (a slab), and a
+// later delivery over all of a mixed group's fresh words makes it uniform
+// again.  After every step the credit sequence, expanded to one entry per
+// word, and every tag and fresh count must equal the model's.
+TEST(WordTracker, GroupsMatchPerWordModel) {
   constexpr std::size_t kUnits = 2;
-  for (const std::uint32_t words : {64u, 4096u}) {
-    const std::uint32_t block = words / 64;
-    const int shift = BlockShift(words);
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+  for (const std::uint32_t words : {64u, 100u, 1024u, 4096u, 8192u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       SCOPED_TRACE(testing::Message() << words << " words, seed " << seed);
       Xoshiro256 rng(seed * 977 + words);
       WordTracker tracker(kUnits, words);
       WordTrackerModel model(kUnits, words);
       std::vector<std::uint32_t> got, want;
-      int straddles = 0, partials = 0, exhaustions = 0, redeliveries = 0;
-      int multi_run_deliveries = 0;
+      int straddles = 0, exhaustions = 0, redeliveries = 0;
+      int multi_run_deliveries = 0, mixed = 0, re_uniform = 0;
       std::vector<bool> exhausted(kUnits, false);
+      const auto groups = (words + 63) / 64;
 
-      // A span of one of several shapes: per-element, inside one block,
-      // straddling a block boundary, or long.
+      // A span of one of several shapes: per-element, inside one group,
+      // straddling a group boundary, or long.
       auto span = [&](std::uint32_t& first, std::uint32_t& count) {
         switch (rng.UniformInt(4)) {
           case 0:
             first = static_cast<std::uint32_t>(rng.UniformInt(words - 1));
             count = 1 + static_cast<std::uint32_t>(rng.UniformInt(2));
             break;
-          case 1: {  // partial block, strictly inside one block
-            const auto b = static_cast<std::uint32_t>(rng.UniformInt(64));
-            first = b * block + static_cast<std::uint32_t>(
-                                    rng.UniformInt(std::max(1u, block / 2)));
+          case 1: {  // strictly inside one group
+            const auto g = static_cast<std::uint32_t>(rng.UniformInt(groups));
+            const std::uint32_t g_end = std::min(words, 64 * g + 64);
+            first = 64 * g + static_cast<std::uint32_t>(rng.UniformInt(
+                                 std::max(1u, (g_end - 64 * g) / 2)));
             count = 1 + static_cast<std::uint32_t>(
-                            rng.UniformInt(b * block + block - first));
+                            rng.UniformInt(g_end - first));
             break;
           }
-          case 2: {  // straddles at least one boundary, partial at both ends
-            const auto b = 1 + static_cast<std::uint32_t>(rng.UniformInt(63));
-            first = b * block - 1 -
-                    static_cast<std::uint32_t>(rng.UniformInt(block));
-            const std::uint32_t end =
-                std::min<std::uint32_t>(
-                    words, b * block + 1 + static_cast<std::uint32_t>(
-                                               rng.UniformInt(3 * block)));
+          case 2: {  // straddles at least one boundary when there is one
+            const auto b =
+                64 * (1 + static_cast<std::uint32_t>(
+                              rng.UniformInt(std::max(1u, groups - 1))));
+            const std::uint32_t at = std::min(b, words - 1);
+            first = at - std::min<std::uint32_t>(
+                             at, 1 + static_cast<std::uint32_t>(
+                                         rng.UniformInt(64)));
+            const std::uint32_t end = std::min<std::uint32_t>(
+                words,
+                at + 1 + static_cast<std::uint32_t>(rng.UniformInt(3 * 64)));
             count = end - first;
             break;
           }
@@ -525,17 +552,17 @@ TEST(WordTracker, BlockSummaryMatchesPerWordModel) {
         const auto unit = static_cast<UnitId>(rng.UniformInt(kUnits));
         if (exhausted[unit]) ++redeliveries;
         exhausted[unit] = false;
-        if (rng.UniformInt(4) == 0) {
+        const std::size_t slabs_before = tracker.slabs_in_use();
+        if (rng.UniformInt(3) == 0) {
           // One diff's runs in one call: sorted, disjoint, non-adjacent.
           std::vector<DiffRun> runs;
-          auto at = static_cast<std::uint32_t>(rng.UniformInt(2 * block));
+          auto at = static_cast<std::uint32_t>(rng.UniformInt(100));
           while (at < words && runs.size() < 6) {
             const auto count = 1 + static_cast<std::uint32_t>(rng.UniformInt(
-                                       std::min(2 * block, words - at)));
+                                       std::min(150u, words - at)));
             runs.push_back({at, count});
             model.Deliver(unit, at, count, step);
-            at += count + 1 +
-                  static_cast<std::uint32_t>(rng.UniformInt(3 * block));
+            at += count + 1 + static_cast<std::uint32_t>(rng.UniformInt(150));
           }
           tracker.DeliverRuns(unit, runs, step);
           ++multi_run_deliveries;
@@ -545,22 +572,17 @@ TEST(WordTracker, BlockSummaryMatchesPerWordModel) {
           tracker.Deliver(unit, first, count, step);
           model.Deliver(unit, first, count, step);
         }
+        if (tracker.slabs_in_use() > slabs_before) ++mixed;
+        if (tracker.slabs_in_use() < slabs_before) ++re_uniform;
 
         for (int k = 0; k < 3; ++k) {
           const auto local = static_cast<UnitId>(rng.UniformInt(kUnits));
           std::uint32_t at = 0, len = words;  // 1 in 8: the whole unit
           if (rng.UniformInt(8) != 0) span(at, len);
-          if (len > 2 &&
-              BlockMask(at, len, shift) != BlockMask(at, 1, shift)) {
-            ++straddles;
-          }
-          if (len > 2 && (at % block != 0 || (at + len) % block != 0)) {
-            ++partials;
-          }
+          if (len > 2 && at / 64 != (at + len - 1) / 64) ++straddles;
           const bool had_fresh = model.Fresh(local) > 0;
           if (rng.UniformInt(2) == 0) {
-            tracker.OnRead(local, at, len,
-                           [&](std::uint32_t m) { got.push_back(m); });
+            tracker.OnRead(local, at, len, ExpandCredits(got));
             model.OnRead(local, at, len, want);
           } else {
             tracker.OnWrite(local, at, len);
@@ -573,55 +595,71 @@ TEST(WordTracker, BlockSummaryMatchesPerWordModel) {
         }
 
         ASSERT_EQ(got, want) << "step " << step;
-        for (UnitId u = 0; u < kUnits; ++u) {
-          ASSERT_EQ(tracker.fresh_count(u), model.Fresh(u))
-              << "step " << step << " unit " << u;
-          const std::uint64_t summary = tracker.maybe_fresh_blocks(u);
-          if (model.Fresh(u) == 0) {
-            ASSERT_EQ(summary, 0u) << "step " << step << " unit " << u;
-          }
-          for (std::uint32_t w = 0; w < words; ++w) {
-            ASSERT_EQ(tracker.Tag(u, w), model.tags[u][w])
-                << "step " << step << " unit " << u << " word " << w;
-            if ((summary >> (w / block) & 1) == 0) {
-              ASSERT_EQ(model.tags[u][w], 0u)
-                  << "clear block holds a live tag: step " << step
-                  << " unit " << u << " word " << w;
-            }
-          }
-        }
+        ExpectSameTags(tracker, model, step);
+        if (testing::Test::HasFatalFailure()) return;
       }
-      // Each boundary case above was actually exercised.
-      EXPECT_GT(straddles, 0);
-      if (block > 1) {
-        EXPECT_GT(partials, 0);
+      // Each case above was actually exercised.
+      if (groups > 1) {
+        EXPECT_GT(straddles, 0);
       }
       EXPECT_GT(exhaustions, 0);
       EXPECT_GT(redeliveries, 0);
       EXPECT_GT(multi_run_deliveries, 0);
+      EXPECT_GT(mixed, 0);
+      EXPECT_GT(re_uniform, 0);
     }
   }
 }
 
+// Whole-unit home fetches and row-aligned diff runs keep every group
+// uniform: they allocate no slab, so the tracker holds only group storage.
+// A run that leaves another message's fresh words in its group takes one.
+TEST(WordTracker, AlignedDeliveriesAllocateNoSlab) {
+  constexpr std::uint32_t kWords = 4096, kRow = 1024;
+  WordTracker tracker(3, kWords);
+  tracker.Deliver(0, 0, kWords, 1);  // home fetch
+  tracker.Deliver(0, 0, kWords, 2);  // and a second one over it
+  const std::vector<DiffRun> rows = {{0, kRow}, {2 * kRow, kRow}};
+  tracker.DeliverRuns(1, rows, 3);    // one diff, two rows
+  tracker.Deliver(1, kRow, kRow, 4);  // another writer's row
+  tracker.Deliver(1, 0, kRow, 5);     // a newer diff of the first row
+  EXPECT_EQ(tracker.slabs_in_use(), 0u);
+  EXPECT_EQ(tracker.bytes(), 2u * (kWords / 64) * 16);
+  EXPECT_EQ(tracker.Tag(1, kRow - 1), 6u);
+  EXPECT_EQ(tracker.Tag(1, kRow), 5u);
+
+  tracker.Deliver(2, 0, 64, 6);
+  tracker.Deliver(2, 8, 4, 7);  // two messages in group 0 of unit 2
+  EXPECT_EQ(tracker.slabs_in_use(), 1u);
+  EXPECT_GT(tracker.bytes(), 3u * (kWords / 64) * 16);
+  tracker.OnWrite(2, 0, 64);  // the group dies and returns its slab
+  EXPECT_EQ(tracker.slabs_in_use(), 0u);
+}
+
 // The MGS shape at 16K: three foreign rows delivered, the owner sweeps its
-// own row.  The summary proves the own row tag-free, so the sweep credits
-// nothing and leaves the foreign rows' blocks (and tags) alone.
-TEST(WordTracker, OwnRowSweepSkipsForeignRowBlocks) {
+// own row.  The own row's groups hold no fresh bit, so the sweep credits
+// nothing and leaves the foreign rows alone; reading one foreign row
+// credits its message once per 64-word group.
+TEST(WordTracker, OwnRowSweepLeavesForeignRows) {
   constexpr std::uint32_t kWords = 4096, kRow = 1024;
   WordTracker tracker(1, kWords);
   for (std::uint32_t r = 1; r < 4; ++r) tracker.Deliver(0, r * kRow, kRow, r);
-  const int shift = BlockShift(kWords);
-  EXPECT_EQ(tracker.maybe_fresh_blocks(0), BlockMask(kRow, 3 * kRow, shift));
-  int credits = 0;
-  tracker.OnRead(0, 0, kRow, [&](std::uint32_t) { ++credits; });
+  int calls = 0;
+  std::uint32_t credited = 0;
+  auto credit = [&](std::uint32_t m, std::uint32_t words) {
+    ++calls;
+    credited += words;
+    EXPECT_EQ(m, 1u);
+  };
+  tracker.OnRead(0, 0, kRow, credit);
   tracker.OnWrite(0, 0, kRow);
-  EXPECT_EQ(credits, 0);
+  EXPECT_EQ(calls, 0);
   EXPECT_EQ(tracker.fresh_count(0), 3 * kRow);
-  // Reading one foreign row whole clears exactly its 16 blocks.
-  tracker.OnRead(0, kRow, kRow, [&](std::uint32_t) { ++credits; });
-  EXPECT_EQ(credits, static_cast<int>(kRow));
-  EXPECT_EQ(tracker.maybe_fresh_blocks(0),
-            BlockMask(2 * kRow, 2 * kRow, shift));
+  tracker.OnRead(0, kRow, kRow, credit);
+  EXPECT_EQ(calls, static_cast<int>(kRow / 64));
+  EXPECT_EQ(credited, kRow);
+  EXPECT_EQ(tracker.fresh_count(0), 2 * kRow);
+  EXPECT_EQ(tracker.slabs_in_use(), 0u);
 }
 
 // --- core primitives ----------------------------------------------------------
