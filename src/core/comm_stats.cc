@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "mem/types.h"
 
 namespace dsm {
 
@@ -72,18 +73,6 @@ std::string CommBreakdown::ToString() const {
   return out.str();
 }
 
-std::uint32_t CommStats::NewExchange(ProcId writer) {
-  exchanges_.push_back({writer, 0, 0, 0});
-  return static_cast<std::uint32_t>(exchanges_.size() - 1);
-}
-
-void CommStats::AddDelivered(std::uint32_t exchange_id, std::uint32_t words,
-                             std::uint32_t payload_bytes) {
-  auto& e = exchanges_[exchange_id];
-  e.delivered_words += words;
-  e.payload_bytes += payload_bytes;
-}
-
 void CommStats::RecordFault(int num_writers, std::uint32_t first_exchange) {
   DSM_CHECK_GT(num_writers, 0);
   faults_.push_back(
@@ -93,7 +82,7 @@ void CommStats::RecordFault(int num_writers, std::uint32_t first_exchange) {
 CommBreakdown CommStats::Finalize() const {
   CommBreakdown out = counters_;
 
-  for (const auto& e : exchanges_) {
+  exchanges_.ForEach([&out](const ExchangeRecord& e) {
     const bool useful = e.useful_words > 0;
     const std::uint64_t useful_bytes =
         static_cast<std::uint64_t>(e.useful_words) * kWordBytes;
@@ -108,9 +97,9 @@ CommBreakdown CommStats::Finalize() const {
       out.useless_messages += 2;
       out.useless_msg_data_bytes += useless_bytes;
     }
-  }
+  });
 
-  for (const auto& f : faults_) {
+  faults_.ForEach([this, &out](const FaultRecord& f) {
     for (std::uint16_t i = 0; i < f.num_writers; ++i) {
       const auto& e = exchanges_[f.first_exchange + i];
       if (e.useful_words > 0) {
@@ -119,7 +108,7 @@ CommBreakdown CommStats::Finalize() const {
         out.signature.AddUseless(f.num_writers);
       }
     }
-  }
+  });
   return out;
 }
 

@@ -15,12 +15,14 @@
 //     concurrent writers contacted, split useful/useless per exchange.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/histogram.h"
-#include "mem/types.h"
 
 namespace dsm {
 
@@ -124,17 +126,70 @@ struct CommBreakdown {
   std::string ToString() const;
 };
 
+// Append-and-index log for CommStats' records: fixed 4 KiB chunks,
+// allocated on first use and never moved, so growing the log never holds
+// an old and a new buffer at once and a node that logs little pays one
+// page.  Indices are dense from 0 in append order.
+template <typename T>
+class ChunkedLog {
+ public:
+  static constexpr std::size_t kChunkBytes = 4096;
+  static constexpr std::uint32_t kPerChunk =
+      static_cast<std::uint32_t>(kChunkBytes / sizeof(T));
+  static_assert(kChunkBytes % sizeof(T) == 0 &&
+                (kPerChunk & (kPerChunk - 1)) == 0);
+
+  std::uint32_t size() const { return size_; }
+
+  // Appends `v`; returns its index.
+  std::uint32_t push_back(const T& v) {
+    if (size_ % kPerChunk == 0) chunks_.push_back(std::make_unique<Chunk>());
+    chunks_.back()->items[size_ % kPerChunk] = v;
+    return size_++;
+  }
+
+  T& operator[](std::uint32_t i) {
+    return chunks_[i / kPerChunk]->items[i % kPerChunk];
+  }
+  const T& operator[](std::uint32_t i) const {
+    return chunks_[i / kPerChunk]->items[i % kPerChunk];
+  }
+
+  // Calls fn(record) for every record, in append order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    std::uint32_t left = size_;
+    for (const auto& chunk : chunks_) {
+      const std::uint32_t n = std::min(left, kPerChunk);
+      for (std::uint32_t i = 0; i < n; ++i) fn(chunk->items[i]);
+      left -= n;
+    }
+  }
+
+  // Host bytes held by the chunks.
+  std::size_t bytes() const { return chunks_.size() * kChunkBytes; }
+
+ private:
+  struct Chunk {
+    T items[kPerChunk];
+  };
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::uint32_t size_ = 0;
+};
+
 // Per-node, single-threaded statistics collector.
 class CommStats {
  public:
   CommStats() = default;
 
-  // Open a new exchange with `writer`; returns its id, which WordTracker
-  // uses to tag delivered words.
-  std::uint32_t NewExchange(ProcId writer);
+  // Open a new exchange; returns its id, which WordTracker uses to tag
+  // delivered words.  Ids are dense from 0.
+  std::uint32_t NewExchange() { return exchanges_.push_back({}); }
 
-  void AddDelivered(std::uint32_t exchange_id, std::uint32_t words,
-                    std::uint32_t payload_bytes);
+  // The exchange delivered `words` more diff payload words.
+  void AddDelivered(std::uint32_t exchange_id, std::uint32_t words) {
+    exchanges_[exchange_id].delivered_words += words;
+  }
   // `words` delivered words were read before being overwritten.
   void Credit(std::uint32_t exchange_id, std::uint32_t words) {
     exchanges_[exchange_id].useful_words += words;
@@ -144,8 +199,11 @@ class CommStats {
   // [first_exchange, first_exchange + num_writers).
   void RecordFault(int num_writers, std::uint32_t first_exchange);
 
-  std::uint32_t num_exchanges() const {
-    return static_cast<std::uint32_t>(exchanges_.size());
+  std::uint32_t num_exchanges() const { return exchanges_.size(); }
+
+  // Host bytes held by the exchange and fault logs (telemetry only).
+  std::size_t log_bytes() const {
+    return exchanges_.bytes() + faults_.bytes();
   }
 
   // Event counters, incremented by the protocol.
@@ -156,19 +214,19 @@ class CommStats {
   CommBreakdown Finalize() const;
 
  private:
+  // 8 bytes: Finalize needs only the two word counts (DESIGN.md §8,
+  // "Usefulness ledger").
   struct ExchangeRecord {
-    ProcId writer = -1;
     std::uint32_t delivered_words = 0;
     std::uint32_t useful_words = 0;
-    std::uint32_t payload_bytes = 0;
   };
   struct FaultRecord {
     std::uint32_t first_exchange = 0;
     std::uint16_t num_writers = 0;
   };
 
-  std::vector<ExchangeRecord> exchanges_;
-  std::vector<FaultRecord> faults_;
+  ChunkedLog<ExchangeRecord> exchanges_;
+  ChunkedLog<FaultRecord> faults_;
   CommBreakdown counters_;  // event counters + sync messages live here
 };
 

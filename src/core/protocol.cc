@@ -494,7 +494,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
     auto& needs = needs_by_writer_[w];
     if (needs.empty()) continue;
     ++num_writers;
-    const std::uint32_t ex = comm_stats_.NewExchange(w);
+    const std::uint32_t ex = comm_stats_.NewExchange();
     std::size_t request_bytes = 16;
     std::size_t response_bytes = 0;
     std::uint32_t delivered_words = 0;
@@ -508,9 +508,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       response_bytes += need.EncodedBytes();
       delivered_words += static_cast<std::uint32_t>(need.PayloadWords());
     }
-    comm_stats_.AddDelivered(
-        ex, delivered_words,
-        static_cast<std::uint32_t>(delivered_words * kWordBytes));
+    comm_stats_.AddDelivered(ex, delivered_words);
     net_stats_.Record(MessageKind::kDiffRequest, request_bytes);
     net_stats_.Record(MessageKind::kDiffResponse, response_bytes);
     // Server-side cost: request handling plus lazy diff creation — one
@@ -733,13 +731,12 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
     const bool remote = h != id_;
     if (remote) {
       ++num_homes;
-      ex = comm_stats_.NewExchange(h);
+      ex = comm_stats_.NewExchange();
       const std::size_t request_bytes = 16 + 8 * list.size();
       const std::size_t response_bytes = list.size() * (16 + unit_bytes_);
       const std::size_t delivered_words = list.size() * words_per_unit;
-      comm_stats_.AddDelivered(
-          ex, static_cast<std::uint32_t>(delivered_words),
-          static_cast<std::uint32_t>(delivered_words * kWordBytes));
+      comm_stats_.AddDelivered(ex,
+                               static_cast<std::uint32_t>(delivered_words));
       net_stats_.Record(MessageKind::kHomeFetch, request_bytes);
       net_stats_.Record(MessageKind::kHomeFetchReply, response_bytes);
       comm_stats_.counters().home_fetches += list.size();

@@ -20,7 +20,8 @@ std::string RunStats::ToString() const {
   if (races.checked) out << races.ToString();
   out << comm.ToString();
   out << "network:\n" << net.ToString();
-  out << "host memory: word tracker " << mem.tracker_bytes << " bytes\n";
+  out << "host memory: word tracker " << mem.tracker_bytes
+      << " bytes, comm log " << mem.comm_log_bytes << " bytes\n";
   return out.str();
 }
 
@@ -71,6 +72,7 @@ RunStats Runtime::CollectStats() const {
     stats.comm.Merge(node->comm_stats().Finalize());
     stats.net.Merge(node->net_stats());
     stats.mem.tracker_bytes += node->word_tracker().bytes();
+    stats.mem.comm_log_bytes += node->comm_stats().log_bytes();
   }
   const ArchiveTelemetry& t = shared_.archive_telemetry;
   stats.mem.peak_live_intervals =

@@ -154,6 +154,9 @@ struct MemoryFootprint {
   // Usefulness instrumentation (mem/word_tracker.h): group and slab bytes
   // the nodes' WordTrackers hold at the end of the run, summed over nodes.
   std::uint64_t tracker_bytes = 0;
+  // Usefulness ledger (core/comm_stats.h): chunk bytes of the nodes'
+  // exchange and fault logs at the end of the run, summed over nodes.
+  std::uint64_t comm_log_bytes = 0;
   // Always 0: nothing counts it.  Kept only because the benchmark
   // harness (perfbench/) still reports it as gc.records_elided; delete it
   // together with that counter.

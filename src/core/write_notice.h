@@ -73,8 +73,13 @@ struct IntervalRecord {
   }
 
   // The stamp protocol, shared with FlattenedChain's retained stamps.
+  // Stamps are write-once (0 -> key + 1, set only by the CAS below), so a
+  // nonzero load is final: it answers without writing the cache line the
+  // other requesters' threads read.
   static bool PaysForStamp(std::atomic<std::uint64_t>& stamp,
                            std::uint64_t key) {
+    const std::uint64_t seen = stamp.load(std::memory_order_relaxed);
+    if (seen != 0) return seen == key + 1;
     std::uint64_t expected = 0;
     if (stamp.compare_exchange_strong(expected, key + 1,
                                       std::memory_order_relaxed)) {

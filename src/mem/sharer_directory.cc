@@ -1,8 +1,7 @@
 #include "mem/sharer_directory.h"
 
-#include <bit>
-
 #include "common/check.h"
+#include "mem/block_mask.h"
 
 namespace dsm {
 
@@ -17,7 +16,7 @@ int SharerDirectory::SharerCount(UnitId unit) const {
   int count = 0;
   const std::size_t base = unit * words_per_unit_;
   for (std::size_t w = 0; w < words_per_unit_; ++w) {
-    count += std::popcount(bits_[base + w].load(std::memory_order_relaxed));
+    count += Popcount(bits_[base + w].load(std::memory_order_relaxed));
   }
   return count;
 }

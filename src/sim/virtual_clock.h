@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "common/check.h"
+
 namespace dsm {
 
 // Nanoseconds of virtual time.
@@ -29,12 +31,18 @@ class VirtualClock {
 
   VirtualNanos now() const { return now_; }
 
-  // Advance by a non-negative amount of modelled work.
-  void Advance(VirtualNanos delta);
+  // Advance by a non-negative amount of modelled work.  Inline: every
+  // shared access calls it.
+  void Advance(VirtualNanos delta) {
+    DSM_CHECK_GE(delta, 0);
+    now_ += delta;
+  }
 
   // Move forward to `t` if `t` is later (used by synchronization:
   // clocks never run backwards).
-  void AdvanceTo(VirtualNanos t);
+  void AdvanceTo(VirtualNanos t) {
+    if (t > now_) now_ = t;
+  }
 
   void Reset() { now_ = 0; }
 

@@ -571,6 +571,22 @@ TEST(HostFootprint, MgsTrackerBytesArePinned) {
   }
 }
 
+// The usefulness ledger's host storage (MemoryFootprint::comm_log_bytes)
+// for the same configuration.  Each node logs about 400 exchanges and 140
+// faults, one 4 KiB chunk of each; 16-byte exchange records in a doubling
+// vector (capacity 512) plus the fault vector (capacity 256) held
+// 10,240 bytes a node, 40,960 in all.
+TEST(HostFootprint, MgsCommLogBytesArePinned) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 4;
+  cfg.pages_per_unit = 4;
+  for (int i = 0; i < 2; ++i) {
+    auto app = MakeApp("MGS", "tiny");
+    EXPECT_EQ(Execute(*app, cfg).stats.mem.comm_log_bytes, 32768u)
+        << "run " << i;
+  }
+}
+
 // --- HLRC value-identical rewrites -------------------------------------------
 //
 // The release-time twin scan is bounded by the written-block summary, but

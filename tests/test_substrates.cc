@@ -1,6 +1,7 @@
 // Unit tests for the support substrates: RNG, histogram, virtual clock,
 // cost model calibration, network model calibration, heap, page table,
-// word tracker, vector clocks, interval archive, net stats.
+// word tracker, usefulness ledger, vector clocks, interval archive, net
+// stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "common/check.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "core/comm_stats.h"
 #include "core/vector_clock.h"
 #include "core/write_notice.h"
 #include "mem/global_heap.h"
@@ -660,6 +662,114 @@ TEST(WordTracker, OwnRowSweepLeavesForeignRows) {
   EXPECT_EQ(credited, kRow);
   EXPECT_EQ(tracker.fresh_count(0), 2 * kRow);
   EXPECT_EQ(tracker.slabs_in_use(), 0u);
+}
+
+// --- usefulness ledger against a plain-vector model -------------------------
+
+// CommStats keeps its exchange and fault records in fixed chunks.  Random
+// fault sequences (1-4 writers each, credits to old exchanges as well as
+// new ones) must finalize exactly as plain vectors of the same records
+// do, with ids dense across chunk boundaries.
+TEST(CommStatsLedger, MatchesNaiveModel) {
+  struct Exchange {
+    std::uint32_t delivered = 0;
+    std::uint32_t useful = 0;
+  };
+  struct Fault {
+    std::uint32_t first = 0;
+    int writers = 0;
+  };
+  std::vector<Exchange> exchanges;
+  std::vector<Fault> faults;
+  CommStats stats;
+  stats.counters().sync_messages = 6;
+  Xoshiro256 rng(2024);
+
+  const auto expect_finalize_matches = [&] {
+    CommBreakdown want;
+    want.sync_messages = 6;
+    for (const Exchange& e : exchanges) {
+      const std::uint64_t useless = std::uint64_t{e.delivered - e.useful} *
+                                    kWordBytes;
+      if (e.useful > 0) {
+        want.useful_messages += 2;
+        want.useful_data_bytes += std::uint64_t{e.useful} * kWordBytes;
+        want.piggyback_useless_bytes += useless;
+      } else {
+        want.useless_messages += 2;
+        want.useless_msg_data_bytes += useless;
+      }
+    }
+    for (const Fault& f : faults) {
+      for (int i = 0; i < f.writers; ++i) {
+        if (exchanges[f.first + i].useful > 0) {
+          want.signature.AddUseful(f.writers);
+        } else {
+          want.signature.AddUseless(f.writers);
+        }
+      }
+    }
+    const CommBreakdown got = stats.Finalize();
+    EXPECT_EQ(got.sync_messages, want.sync_messages);
+    EXPECT_EQ(got.useful_messages, want.useful_messages);
+    EXPECT_EQ(got.useless_messages, want.useless_messages);
+    EXPECT_EQ(got.useful_data_bytes, want.useful_data_bytes);
+    EXPECT_EQ(got.piggyback_useless_bytes, want.piggyback_useless_bytes);
+    EXPECT_EQ(got.useless_msg_data_bytes, want.useless_msg_data_bytes);
+    ASSERT_EQ(got.signature.num_buckets(), want.signature.num_buckets());
+    for (std::size_t k = 0; k < want.signature.num_buckets(); ++k) {
+      EXPECT_EQ(got.signature.useful(k), want.signature.useful(k)) << k;
+      EXPECT_EQ(got.signature.useless(k), want.signature.useless(k)) << k;
+    }
+  };
+
+  // Credits up to what the exchange delivered and nobody credited yet.
+  const auto credit = [&](std::uint32_t id) {
+    Exchange& e = exchanges[id];
+    if (e.useful == e.delivered) return;
+    const auto words = static_cast<std::uint32_t>(
+        1 + rng.UniformInt(e.delivered - e.useful));
+    e.useful += words;
+    stats.Credit(id, words);
+  };
+
+  constexpr int kFaults = 1200;  // ~3,000 exchanges: 5 exchange-chunk and
+                                 // 2 fault-chunk boundaries
+  for (int fault = 0; fault < kFaults; ++fault) {
+    const auto first = static_cast<std::uint32_t>(exchanges.size());
+    ASSERT_EQ(stats.num_exchanges(), first);
+    const int writers = static_cast<int>(1 + rng.UniformInt(4));
+    for (int w = 0; w < writers; ++w) {
+      const std::uint32_t id = stats.NewExchange();
+      ASSERT_EQ(id, exchanges.size());
+      exchanges.push_back({});
+      // One or two deliveries per exchange, as merged chains give.
+      for (std::uint64_t d = 1 + rng.UniformInt(2); d > 0; --d) {
+        const auto words = static_cast<std::uint32_t>(1 + rng.UniformInt(64));
+        exchanges[id].delivered += words;
+        stats.AddDelivered(id, words);
+      }
+    }
+    stats.RecordFault(writers, first);
+    faults.push_back({first, writers});
+    // About a third of new exchanges are read; old ones keep being read
+    // long after their chunk filled.
+    for (int w = 0; w < writers; ++w) {
+      if (rng.UniformInt(3) == 0) credit(first + static_cast<std::uint32_t>(w));
+    }
+    if (rng.UniformInt(2) == 0) {
+      credit(static_cast<std::uint32_t>(rng.UniformInt(exchanges.size())));
+    }
+    if (fault % 300 == 299) expect_finalize_matches();
+  }
+  expect_finalize_matches();
+
+  const std::size_t per_chunk = 4096 / 8;
+  const std::size_t chunks = (exchanges.size() + per_chunk - 1) / per_chunk +
+                             (faults.size() + per_chunk - 1) / per_chunk;
+  EXPECT_GE(exchanges.size(), 3 * per_chunk);
+  EXPECT_EQ(stats.log_bytes(), chunks * 4096);
+  EXPECT_EQ(CommStats().log_bytes(), 0u);
 }
 
 // --- core primitives ----------------------------------------------------------
